@@ -2,16 +2,16 @@
 simulator, with a factorial experiment runner and OLS effect analysis."""
 
 from .netsim import (LinkSpec, SimConfig, Simulator, FlowCounters,
-                     IntervalStats, build_dumbbell, update_rtt_ewma,
-                     InvalidConfigError, CwndRangeError)
+                     IntervalStats, update_rtt_ewma, InvalidConfigError,
+                     CwndRangeError)
 from .env import (Action, EnvConfig, Env, Observation, StepResult,
-                  compute_reward, normalize, denormalize, EpisodeDoneError)
+                  compute_reward, normalize, EpisodeDoneError)
 from .dqn import (DqnAgent, DqnConfig, QNetwork, ReplayBuffer, Transition,
                   act_epsilon_greedy, td_targets, train_step, sync_target,
-                  save_checkpoint, load_checkpoint, TrainingDivergedError)
+                  TrainingDivergedError)
 from .experiments import (FactorLevels, RunSpec, RunRecord, ConvergenceParams,
                           enumerate_runs, execute_run, convergence_step,
-                          aggregate, derive_seed)
+                          derive_seed)
 from .stats import (RegressionRow, code_level, ols_fit,
                     student_t_two_sided_p, make_interaction_design,
                     render_table)

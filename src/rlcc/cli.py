@@ -9,9 +9,11 @@ analyze    coded-factor OLS on a runs.csv -> regression.csv + printed table
 baseline   one episode with uniform-random actions (control condition)
 
 Configuration is a flat key=value file with dotted namespaces
-(sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed); --override
-flags win over file values and unknown keys are rejected.  All CSVs are
-written atomically and every output is fully determined by --base-seed.
+(sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
+flags win over file values, and the train/baseline shorthands --layers, --lr
+and --error-rate win over both.  Unknown keys and non-finite numbers are
+rejected.  All CSVs are written atomically and every output is fully
+determined by --base-seed.
 
 Exit codes: 0 success, 2 invalid input, 3 training divergence (train),
 4 partial grid failure.
@@ -21,17 +23,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 from . import experiments, stats
 from .dqn import DqnConfig
 from .env import EnvConfig
-from .netsim import (InvalidConfigError, LinkSpec, SimConfig, Simulator,
-                     validate_config)
+from .netsim import InvalidConfigError, SimConfig, Simulator, validate_config
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -56,40 +58,46 @@ class CliError(Exception):
 
 # -- configuration -----------------------------------------------------------
 
-_INT = int
-_FLOAT = float
+def finite_float(raw) -> float:
+    """float() that rejects nan and +-inf."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
-#: dotted key -> (section, field path, type); the single registry that makes
-#: unknown keys rejectable.
-CONFIG_KEYS = {
-    "sim.access_link.rate_bps": ("sim", ("access_link", "rate_bps"), _INT),
-    "sim.access_link.prop_delay_ms": ("sim", ("access_link", "prop_delay_ms"), _FLOAT),
-    "sim.access_link.loss_prob": ("sim", ("access_link", "loss_prob"), _FLOAT),
-    "sim.bottleneck_link.rate_bps": ("sim", ("bottleneck_link", "rate_bps"), _INT),
-    "sim.bottleneck_link.prop_delay_ms": ("sim", ("bottleneck_link", "prop_delay_ms"), _FLOAT),
-    "sim.bottleneck_link.loss_prob": ("sim", ("bottleneck_link", "loss_prob"), _FLOAT),
-    "sim.segment_bytes": ("sim", ("segment_bytes",), _INT),
-    "sim.ack_bytes": ("sim", ("ack_bytes",), _INT),
-    "sim.queue_capacity_segments": ("sim", ("queue_capacity_segments",), _INT),
-    "sim.rto_ms": ("sim", ("rto_ms",), _FLOAT),
-    "sim.rtt_ewma_alpha": ("sim", ("rtt_ewma_alpha",), _FLOAT),
-    "sim.cwnd_max": ("sim", ("cwnd_max",), _INT),
-    "env.decision_interval_ms": ("env", ("decision_interval_ms",), _FLOAT),
-    "env.episode_length": ("env", ("episode_length",), _INT),
-    "env.cwnd_min": ("env", ("cwnd_min",), _INT),
-    "env.cwnd_max": ("env", ("cwnd_max",), _INT),
-    "dqn.hidden_count": ("dqn", ("hidden_count",), _INT),
-    "dqn.hidden_width": ("dqn", ("hidden_width",), _INT),
-    "dqn.learning_rate": ("dqn", ("learning_rate",), _FLOAT),
-    "dqn.gamma": ("dqn", ("gamma",), _FLOAT),
-    "dqn.epsilon_start": ("dqn", ("epsilon_start",), _FLOAT),
-    "dqn.epsilon_min": ("dqn", ("epsilon_min",), _FLOAT),
-    "dqn.epsilon_decay": ("dqn", ("epsilon_decay",), _FLOAT),
-    "dqn.batch_size": ("dqn", ("batch_size",), _INT),
-    "dqn.buffer_capacity": ("dqn", ("buffer_capacity",), _INT),
-    "dqn.target_sync_every": ("dqn", ("target_sync_every",), _INT),
-    "dqn.train_updates_per_step": ("dqn", ("train_updates_per_step",), _INT),
-}
+
+_KINDS = {int: "an integer", finite_float: "a finite number"}
+
+
+def _scalar_keys(prefix: str, cfg) -> dict:
+    """Dotted key -> cast for every int/float field of a config dataclass,
+    nested dataclasses flattened.  Seeds come from --base-seed/--seed and
+    env.sim is the sim section, so neither is a key."""
+    keys = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        key = f"{prefix}.{f.name}"
+        if f.name == "seed" or isinstance(value, SimConfig):
+            continue
+        if is_dataclass(value):
+            keys.update(_scalar_keys(key, value))
+        elif type(value) in (int, float):
+            keys[key] = int if type(value) is int else finite_float
+    return keys
+
+
+_SECTIONS = {"sim": SimConfig, "env": EnvConfig, "dqn": DqnConfig}
+
+#: dotted key -> cast, derived from the config dataclasses; the single
+#: registry that makes unknown keys rejectable.
+CONFIG_KEYS = {key: cast for section, cls in _SECTIONS.items()
+               for key, cast in _scalar_keys(section, cls()).items()}
+
+#: The config key behind each experiment factor.  train/baseline flags are
+#: shorthands for these; the grid design sets them itself.
+FACTOR_KEYS = {"layers": "dqn.hidden_count",
+               "learning_rate": "dqn.learning_rate",
+               "error_rate": "sim.bottleneck_link.loss_prob"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -109,30 +117,31 @@ def parse_config_file(path: str) -> dict[str, str]:
     return settings
 
 
+def _parse(name: str, cast, raw):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise CliError(f"{name}: {raw!r} is not {_KINDS[cast]}") from None
+
+
+def _replace_path(cfg, path: list[str], value):
+    head, *rest = path
+    if rest:
+        value = _replace_path(getattr(cfg, head), rest, value)
+    return replace(cfg, **{head: value})
+
+
 def build_configs(settings: dict[str, str]):
     """Resolve key=value settings into (SimConfig, EnvConfig, DqnConfig)."""
-    sim_cfg = SimConfig()
-    env_cfg = EnvConfig()
-    dqn_cfg = DqnConfig()
+    cfgs = {section: cls() for section, cls in _SECTIONS.items()}
     for key, raw in settings.items():
         if key not in CONFIG_KEYS:
             raise CliError(f"unknown configuration key {key!r}")
-        section, path, cast = CONFIG_KEYS[key]
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise CliError(f"{key}: cannot parse {raw!r} as {cast.__name__}")
-        if section == "sim":
-            if len(path) == 2:
-                link = replace(getattr(sim_cfg, path[0]), **{path[1]: value})
-                sim_cfg = replace(sim_cfg, **{path[0]: link})
-            else:
-                sim_cfg = replace(sim_cfg, **{path[0]: value})
-        elif section == "env":
-            env_cfg = replace(env_cfg, **{path[0]: value})
-        else:
-            dqn_cfg = replace(dqn_cfg, **{path[0]: value})
-    env_cfg = replace(env_cfg, sim=sim_cfg)
+        section, *path = key.split(".")
+        cfgs[section] = _replace_path(cfgs[section], path,
+                                      _parse(key, CONFIG_KEYS[key], raw))
+    sim_cfg, dqn_cfg = cfgs["sim"], cfgs["dqn"]
+    env_cfg = replace(cfgs["env"], sim=sim_cfg)
     try:
         validate_config(sim_cfg)
         env_cfg.validate()
@@ -143,6 +152,7 @@ def build_configs(settings: dict[str, str]):
 
 
 def gather_settings(args) -> dict[str, str]:
+    """Config file, then --override, then shorthand flags; later wins."""
     settings: dict[str, str] = {}
     if args.config:
         settings.update(parse_config_file(args.config))
@@ -151,6 +161,9 @@ def gather_settings(args) -> dict[str, str]:
             raise CliError(f"--override expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         settings[key.strip()] = value.strip()
+    # shorthand flags store under their config key (argparse dest)
+    settings.update({key: value for key, value in vars(args).items()
+                     if key in CONFIG_KEYS and value is not None})
     return settings
 
 
@@ -185,35 +198,28 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
 
 
 def record_to_row(rec: experiments.RunRecord) -> dict:
-    return {
-        "run_id": rec.spec.run_id,
-        "layers": rec.spec.layers,
-        "learning_rate": rec.spec.learning_rate,
-        "error_rate": rec.spec.error_rate,
-        "rep": rec.spec.rep,
-        "seed": rec.spec.seed,
-        "avg_throughput_Bps": rec.avg_throughput_Bps,
-        "max_throughput_Bps": rec.max_throughput_Bps,
-        "convergence_step": rec.convergence_step,
-        "cumulative_reward": rec.cumulative_reward,
-        "final_cwnd": rec.final_cwnd,
-        "diverged": rec.diverged,
-    }
+    """RUNS_HEADER columns: the RunSpec fields, then the record's metrics."""
+    row = asdict(rec.spec)
+    row.update((col, getattr(rec, col)) for col in RUNS_HEADER
+               if col not in row)
+    return row
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    settings = gather_settings(args)
-    sim_cfg, env_cfg, _ = build_configs(settings)
+    sim_cfg, env_cfg, _ = build_configs(gather_settings(args))
     sim_cfg = replace(sim_cfg, seed=args.base_seed)
+    duration_ms = _parse("--duration-ms", finite_float, args.duration_ms)
+    if duration_ms <= 0:
+        raise CliError("--duration-ms must be positive")
     try:
         sim = Simulator(sim_cfg)
         sim.set_cwnd(args.cwnd)
     except (InvalidConfigError, ValueError) as exc:
         raise CliError(str(exc))
     interval = env_cfg.decision_interval_ms
-    steps = max(1, int(round(args.duration_ms / interval)))
+    steps = max(1, int(round(duration_ms / interval)))
     rows = []
     for step in range(1, steps + 1):
         st = sim.advance(interval)
@@ -242,20 +248,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _single_run(args, policy: str) -> int:
-    settings = gather_settings(args)
-    _, env_cfg, dqn_cfg = build_configs(settings)
-    layers = getattr(args, "layers", 2)
-    lr = getattr(args, "lr", dqn_cfg.learning_rate)
+def cmd_single_run(args) -> int:
+    """train (online DQN) or baseline (uniform-random actions): one episode."""
+    policy = args.subcommand
+    _, env_cfg, dqn_cfg = build_configs(gather_settings(args))
+    layers, lr = dqn_cfg.hidden_count, dqn_cfg.learning_rate
+    error_rate = env_cfg.sim.bottleneck_link.loss_prob
     if args.seed is not None:
         seed = args.seed
     else:
         seed = experiments.derive_seed(args.base_seed, layers, lr,
-                                       args.error_rate, 0)
+                                       error_rate, 0)
     spec = experiments.RunSpec(
-        run_id=policy if policy == "baseline" else "train",
-        layers=layers, learning_rate=lr, error_rate=args.error_rate,
-        rep=0, seed=seed)
+        run_id=policy, layers=layers, learning_rate=lr,
+        error_rate=error_rate, rep=0, seed=seed)
     record, trace = experiments.execute_run(
         spec, env_cfg, dqn_cfg,
         policy="random" if policy == "baseline" else "dqn")
@@ -271,16 +277,6 @@ def _single_run(args, policy: str) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    if args.layers not in (2, 4, 8):
-        raise CliError("layers must be one of 2, 4, 8")
-    return _single_run(args, "train")
-
-
-def cmd_baseline(args) -> int:
-    return _single_run(args, "baseline")
-
-
 def _grid_worker(job):
     spec, env_cfg, dqn_cfg = job
     return experiments.execute_run(spec, env_cfg, dqn_cfg, policy="dqn")
@@ -288,6 +284,10 @@ def _grid_worker(job):
 
 def cmd_grid(args) -> int:
     settings = gather_settings(args)
+    for key in FACTOR_KEYS.values():
+        if key in settings:
+            raise CliError(f"{key} is set by the grid design and cannot "
+                           "be configured")
     _, env_cfg, dqn_cfg = build_configs(settings)
     try:
         specs = experiments.enumerate_runs(
@@ -351,16 +351,8 @@ def cmd_analyze(args) -> int:
         table = stats.ols_fit(X, names, y)
     except (stats.SingularDesignError, ValueError) as exc:
         raise CliError(str(exc))
-    out_rows = [{
-        "term": row.term,
-        "influence": row.influence,
-        "coefficient": row.coefficient,
-        "std_error": row.std_error,
-        "t_value": row.t_value,
-        "p_value": row.p_value,
-    } for row in table]
     write_csv_atomic(os.path.join(args.out_dir, "regression.csv"),
-                     REGRESSION_HEADER, out_rows)
+                     REGRESSION_HEADER, [asdict(row) for row in table])
     print(stats.render_table(table))
     return EXIT_OK
 
@@ -380,20 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--base-seed", type=int, default=42)
 
+    def shorthand(p, flag, factor):
+        key = FACTOR_KEYS[factor]
+        p.add_argument(flag, dest=key, metavar="VALUE",
+                       help=f"same as --override {key}=VALUE")
+
     p = sub.add_parser("simulate", help="fixed-cwnd simulator run")
     common(p)
     p.add_argument("--cwnd", type=int, default=64)
-    p.add_argument("--duration-ms", type=float, default=5000.0)
+    p.add_argument("--duration-ms", default=5000.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="one online DQN episode")
     common(p)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--error-rate", type=float, default=0.0)
+    shorthand(p, "--layers", "layers")
+    shorthand(p, "--lr", "learning_rate")
+    shorthand(p, "--error-rate", "error_rate")
     p.add_argument("--seed", type=int, default=None,
                    help="explicit run seed (default: derived from base seed)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_single_run)
 
     p = sub.add_parser("grid", help="factorial experiment grid")
     common(p)
@@ -413,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="uniform-random action episode")
     common(p)
-    p.add_argument("--error-rate", type=float, default=0.0)
+    shorthand(p, "--error-rate", "error_rate")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=cmd_single_run)
 
     return parser
 

@@ -11,7 +11,7 @@ finite-difference tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,18 +117,25 @@ class QNetwork:
         net.output_dim = net.layers[-1][0].shape[0]
         return net
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch of states, shape (n, output_dim)."""
+    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input batch and every layer's output; the last entry is the
+        Q-values, shape (n, output_dim)."""
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if a.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected input dim {self.input_dim}, got {a.shape[1]}")
+        acts = [a]
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
             a = a @ w.T + b
             if i < last:
                 a = np.maximum(a, 0.0)
-        return a
+            acts.append(a)
+        return acts
+
+    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        """Q-values for a batch of states, shape (n, output_dim)."""
+        return self.activations(x)[-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_batch(x)[0]
@@ -141,10 +148,6 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return QNetwork.from_layers(self.layers)
-
-
-def forward(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
@@ -186,13 +189,7 @@ def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     """
     n = states.shape[0]
     last = len(net.layers) - 1
-    activations = [np.asarray(states, dtype=np.float64)]
-    a = activations[0]
-    for i, (w, b) in enumerate(net.layers):
-        a = a @ w.T + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-        activations.append(a)
+    activations = net.activations(states)
     q = activations[-1]
     idx = np.arange(n)
     err = q[idx, actions] - targets
@@ -253,9 +250,6 @@ class ReplayBuffer:
         idx = rng.choice(len(self._storage), size=n, replace=False)
         return [self._storage[i] for i in idx]
 
-    def contents(self) -> list[Transition]:
-        return list(self._storage)
-
 
 class DqnAgent:
     """Online DQN loop state: policy/target nets, buffer, epsilon schedule.
@@ -295,26 +289,3 @@ class DqnAgent:
         if self.train_steps % self.cfg.target_sync_every == 0:
             sync_target(self.net, self.target_net)
         return loss
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(net: QNetwork, path) -> None:
-    """Write a versioned parameter dump that round-trips bit-exactly."""
-    arrays = {"version": np.array([CHECKPOINT_VERSION], dtype=np.int64),
-              "layer_count": np.array([len(net.layers)], dtype=np.int64)}
-    for i, (w, b) in enumerate(net.layers):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> QNetwork:
-    with np.load(path) as data:
-        version = int(data["version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        count = int(data["layer_count"][0])
-        layers = [(data[f"w{i}"], data[f"b{i}"]) for i in range(count)]
-    return QNetwork.from_layers(layers)

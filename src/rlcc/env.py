@@ -97,10 +97,6 @@ def normalize(obs: Observation, scales=DEFAULT_SCALES) -> np.ndarray:
     return obs.as_vector() / np.asarray(scales, dtype=np.float64)
 
 
-def denormalize(vec: np.ndarray, scales=DEFAULT_SCALES) -> np.ndarray:
-    return np.asarray(vec, dtype=np.float64) * np.asarray(scales, dtype=np.float64)
-
-
 class Env:
     """One agent, one flow; call reset() before stepping."""
 

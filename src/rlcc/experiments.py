@@ -1,6 +1,5 @@
 """Factorial experiment runner: design enumeration, seeded run execution,
-per-run metrics (including the cwnd plateau detector) and per-cell
-aggregation.
+and per-run metrics (including the cwnd plateau detector).
 
 Every run is one 200-step online-training episode.  Seeds derive from
 (base_seed, cell, rep) via SHA-256, so the whole grid is reproducible and
@@ -11,15 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
-from statistics import mean, stdev
+from statistics import mean
 
 import numpy as np
 
 from .dqn import DqnAgent, DqnConfig, Transition, TrainingDivergedError
 from .env import Action, Env, EnvConfig, normalize
-from .netsim import LinkSpec
 
 
 class InvalidDesignError(ValueError):
@@ -238,41 +236,3 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         wall_time_ms=int((time.monotonic() - t_start) * 1000),
     )
     return record, trace
-
-
-def aggregate(records: list[RunRecord]) -> list[dict]:
-    """Per-cell means and sample standard deviations, diverged runs
-    excluded from the statistics but counted."""
-    groups: dict[tuple, list[RunRecord]] = {}
-    for rec in records:
-        key = (rec.spec.layers, rec.spec.learning_rate, rec.spec.error_rate)
-        groups.setdefault(key, []).append(rec)
-
-    def _summary(values):
-        if not values:
-            return 0.0, 0.0
-        return float(mean(values)), float(stdev(values)) if len(values) > 1 else 0.0
-
-    rows = []
-    for key in sorted(groups):
-        ok = [r for r in groups[key] if not r.diverged]
-        avg_m, avg_s = _summary([r.avg_throughput_Bps for r in ok])
-        max_m, max_s = _summary([r.max_throughput_Bps for r in ok])
-        conv_values = [r.convergence_step for r in ok
-                       if r.convergence_step is not None]
-        conv_m, conv_s = _summary(conv_values)
-        rows.append({
-            "layers": key[0],
-            "learning_rate": key[1],
-            "error_rate": key[2],
-            "n": len(ok),
-            "diverged": len(groups[key]) - len(ok),
-            "avg_throughput_mean": avg_m,
-            "avg_throughput_stddev": avg_s,
-            "max_throughput_mean": max_m,
-            "max_throughput_stddev": max_s,
-            "convergence_n": len(conv_values),
-            "convergence_mean": conv_m,
-            "convergence_stddev": conv_s,
-        })
-    return rows

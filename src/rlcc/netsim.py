@@ -407,8 +407,3 @@ class Simulator:
         self.retransmissions += 1
         seg.retrans_count += 1
         self._enqueue_snd(seq)
-
-
-def build_dumbbell(cfg: SimConfig) -> Simulator:
-    """Validate cfg and return a fresh simulator at time 0 with cwnd = 1."""
-    return Simulator(cfg)

@@ -1,18 +1,21 @@
 """Ordinary least squares on coded experiment factors.
 
-Factors are coded to {-1, 0, +1} so a coefficient reads as a half-effect and
-the reported influence is twice the coefficient.  The fit uses a QR
-decomposition rather than an explicit normal-equation inverse, and p-values
-come from the two-sided Student-t tail via the regularized incomplete beta
-function.
+Each factor's declared levels are coded, in sorted order, to evenly spaced
+points on [-1, +1] ({-1, +1} for two levels, {-1, 0, +1} for three), so a
+coefficient reads as a half-effect and the reported influence is twice the
+coefficient.  The fit uses a QR decomposition rather than an explicit
+normal-equation inverse, and p-values come from the two-sided Student-t tail
+via the regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import betainc
+
+from .experiments import FactorLevels
 
 
 class InvalidLevelError(ValueError):
@@ -27,13 +30,16 @@ class SingularDesignError(ValueError):
         super().__init__(f"design matrix is rank deficient at column {column!r}")
 
 
-#: Two-level factors code low -> -1, high -> +1; the three-level layer count
-#: codes by centered log2 so one numeric term covers 2/4/8.
-_CODINGS = {
-    "error_rate": {0.0: -1.0, 0.2: 1.0},
-    "learning_rate": {0.001: -1.0, 0.01: 1.0},
-    "layers": {2: -1.0, 4: 0.0, 8: 1.0},
-}
+def _coding(levels) -> dict:
+    """Sorted levels by index onto evenly spaced points of [-1, +1]."""
+    levels = sorted(levels)
+    span = max(len(levels) - 1, 1)
+    return {level: 2.0 * i / span - 1.0 for i, level in enumerate(levels)}
+
+
+#: factor -> {level: coded}, derived from the experiment's declared levels.
+_CODINGS = {name: _coding(levels)
+            for name, levels in asdict(FactorLevels()).items()}
 
 
 def code_level(factor: str, raw) -> float:

@@ -1,11 +1,12 @@
 import csv
 import os
+from dataclasses import asdict
 
 import pytest
 
-from rlcc.cli import (CONFIG_KEYS, REGRESSION_HEADER, RUNS_HEADER,
-                      STEPS_HEADER, build_configs, parse_config_file, run,
-                      write_csv_atomic)
+from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
+                      STEPS_HEADER, CliError, build_configs, parse_config_file,
+                      run, write_csv_atomic)
 
 
 def read_csv(path):
@@ -19,6 +20,23 @@ def run_cli(*argv):
 
 FAST = ["--override", "env.episode_length=40",
         "--override", "dqn.train_updates_per_step=1"]
+
+
+def flat_config(sim_cfg, env_cfg, dqn_cfg) -> dict:
+    """Dotted key -> value for every leaf field; env.sim is the sim section."""
+    out = {}
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for name, inner in value.items():
+                walk(f"{prefix}.{name}", inner)
+        else:
+            out[prefix] = value
+
+    walk("sim", asdict(sim_cfg))
+    walk("env", {k: v for k, v in asdict(env_cfg).items() if k != "sim"})
+    walk("dqn", asdict(dqn_cfg))
+    return out
 
 
 class TestConfigParsing:
@@ -40,23 +58,42 @@ class TestConfigParsing:
         assert dqn_cfg.gamma == 0.9
 
     def test_unknown_key_rejected(self):
-        from rlcc.cli import CliError
         with pytest.raises(CliError):
             build_configs({"sim.mtu": "1500"})
 
+    @pytest.mark.parametrize("key", ["sim.seed", "dqn.seed"])
+    def test_seed_keys_rejected(self, key):
+        # seeds come from --base-seed / --seed, never from a config key
+        with pytest.raises(CliError, match="unknown configuration key"):
+            build_configs({key: "1"})
+
     def test_bad_value_rejected(self):
-        from rlcc.cli import CliError
         with pytest.raises(CliError):
             build_configs({"dqn.gamma": "fast"})
 
     def test_invalid_config_value_rejected(self):
-        from rlcc.cli import CliError
         with pytest.raises(CliError):
             build_configs({"sim.queue_capacity_segments": "0"})
 
+    #: Valid non-default values for keys where "40" / "0.5" alone is not.
+    ONE_KEY_VALUES = {"sim.ack_bytes": "20", "sim.rto_ms": "900",
+                      "sim.cwnd_max": "300", "dqn.hidden_count": "4"}
+
     def test_every_registered_key_applies(self):
-        settings = {key: "0.5" if cast is float else "40"
-                    for key, (_, _, cast) in CONFIG_KEYS.items()}
+        default = flat_config(*build_configs({}))
+        assert list(CONFIG_KEYS) == [
+            key for key, value in default.items()
+            if not key.endswith(".seed") and type(value) in (int, float)]
+        for key, cast in CONFIG_KEYS.items():
+            raw = self.ONE_KEY_VALUES.get(key, "40" if cast is int else "0.5")
+            sim_cfg, env_cfg, dqn_cfg = build_configs({key: raw})
+            assert env_cfg.sim == sim_cfg
+            resolved = flat_config(sim_cfg, env_cfg, dqn_cfg)
+            assert {k for k in default if resolved[k] != default[k]} == {key}
+            assert resolved[key] == cast(raw)
+
+        settings = {key: "40" if cast is int else "0.5"
+                    for key, cast in CONFIG_KEYS.items()}
         settings["sim.segment_bytes"] = "1000"
         settings["sim.rto_ms"] = "1000"
         settings["dqn.hidden_count"] = "4"
@@ -65,6 +102,34 @@ class TestConfigParsing:
         settings["sim.cwnd_max"] = "200"
         settings["env.cwnd_max"] = "40"
         build_configs(settings)
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--duration-ms", "-5"),
+        ("simulate", "--duration-ms", "nan"),
+        ("simulate", "--duration-ms", "inf"),
+        ("simulate", "--override", "sim.rto_ms=nan"),
+        ("simulate", "--override", "sim.bottleneck_link.prop_delay_ms=nan"),
+        ("train", "--override", "env.decision_interval_ms=inf"),
+        ("train", "--error-rate", "1.5"),
+        ("baseline", "--error-rate", "-0.1"),
+        ("train", "--lr", "0"),
+    ], ids=" ".join)
+    def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("key", sorted(FACTOR_KEYS.values()))
+    def test_grid_rejects_factor_key(self, tmp_path, capsys, key):
+        code = run_cli("grid", *FAST, "--reps", "1", "--jobs", "1",
+                       "--override", f"{key}=0.1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "set by the grid design" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicCsv:
@@ -135,6 +200,20 @@ class TestTrainAndBaseline:
     def test_train_rejects_bad_layers(self, tmp_path):
         assert run_cli("train", "--layers", "3",
                        "--out-dir", str(tmp_path)) == 2
+
+    def test_lr_flag_is_an_override(self, tmp_path, capsys):
+        outs = [tmp_path / name for name in ("flag", "override", "both")]
+        assert run_cli("train", *FAST, "--lr", "0.001",
+                       "--out-dir", str(outs[0])) == 0
+        assert run_cli("train", *FAST, "--override", "dqn.learning_rate=0.001",
+                       "--out-dir", str(outs[1])) == 0
+        # the flag wins over an --override of the same key
+        assert run_cli("train", *FAST, "--override", "dqn.learning_rate=0.5",
+                       "--lr", "0.001", "--out-dir", str(outs[2])) == 0
+        for name in ("runs.csv", "steps.csv"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1
+        runs = read_csv(outs[0] / "runs.csv")
+        assert dict(zip(runs[0], runs[1]))["learning_rate"] == "0.001"
 
     def test_train_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, EpisodeDoneError,
-                      Observation, compute_reward, denormalize, normalize)
+                      Observation, compute_reward, normalize)
 from rlcc.netsim import IntervalStats, LinkSpec, SimConfig
 
 
@@ -47,11 +47,6 @@ class TestNormalization:
                           segments_acked_total=5000, throughput_Bps=125_000.0)
         np.testing.assert_allclose(
             normalize(obs), [0.5, 1.0, 0.5, 0.25, 0.5, 0.5])
-
-    def test_round_trip(self):
-        obs = Observation(7, 1000, 123_456, 19.8, 120, 50_400.0)
-        np.testing.assert_allclose(denormalize(normalize(obs)),
-                                   obs.as_vector())
 
 
 class TestConfigValidation:

@@ -6,9 +6,8 @@ import pytest
 from rlcc.dqn import DqnConfig
 from rlcc.env import EnvConfig
 from rlcc.experiments import (BASELINE, ConvergenceParams, FactorLevels,
-                              InvalidDesignError, RunSpec, aggregate,
-                              convergence_step, derive_seed, enumerate_runs,
-                              execute_run)
+                              InvalidDesignError, RunSpec, convergence_step,
+                              derive_seed, enumerate_runs, execute_run)
 
 FAST_ENV = EnvConfig(episode_length=40)
 FAST_DQN = DqnConfig(train_updates_per_step=1)
@@ -211,42 +210,3 @@ class TestExecuteRun:
         assert record.diverged
         assert record.convergence_step is None
         assert len(trace) <= 40
-
-
-class TestAggregate:
-    def _record(self, layers=2, lr=0.01, err=0.0, rep=0, avg=100.0,
-                mx=200.0, conv=10, diverged=False):
-        from rlcc.experiments import RunRecord
-        spec = RunSpec(run_id=f"r{rep}", layers=layers, learning_rate=lr,
-                       error_rate=err, rep=rep, seed=rep)
-        return RunRecord(spec=spec, avg_throughput_Bps=avg,
-                         max_throughput_Bps=mx, convergence_step=conv,
-                         cumulative_reward=1.0, final_cwnd=5,
-                         diverged=diverged, wall_time_ms=0)
-
-    def test_mean_and_stddev(self):
-        rows = aggregate([self._record(rep=0, avg=100.0),
-                          self._record(rep=1, avg=200.0)])
-        assert len(rows) == 1
-        assert rows[0]["n"] == 2
-        assert rows[0]["avg_throughput_mean"] == pytest.approx(150.0)
-        # sample standard deviation of {100, 200}
-        assert rows[0]["avg_throughput_stddev"] == pytest.approx(
-            np.std([100.0, 200.0], ddof=1))
-
-    def test_diverged_excluded_but_counted(self):
-        rows = aggregate([self._record(rep=0, avg=100.0),
-                          self._record(rep=1, avg=999.0, diverged=True)])
-        assert rows[0]["n"] == 1
-        assert rows[0]["diverged"] == 1
-        assert rows[0]["avg_throughput_mean"] == pytest.approx(100.0)
-
-    def test_none_convergence_excluded(self):
-        rows = aggregate([self._record(rep=0, conv=10),
-                          self._record(rep=1, conv=None)])
-        assert rows[0]["convergence_n"] == 1
-        assert rows[0]["convergence_mean"] == pytest.approx(10.0)
-
-    def test_groups_by_cell_sorted(self):
-        rows = aggregate([self._record(layers=8), self._record(layers=2)])
-        assert [r["layers"] for r in rows] == [2, 8]

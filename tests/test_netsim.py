@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlcc.netsim import (CwndRangeError, InvalidConfigError, LinkSpec,
-                         SimConfig, Simulator, build_dumbbell,
-                         update_rtt_ewma)
+                         SimConfig, Simulator, update_rtt_ewma)
 
 CAPACITY_BPS = 250_000  # 2 Mbps bottleneck in bytes/second
 
@@ -18,11 +17,11 @@ def lossy_config(loss_prob, seed=0, **kw):
 
 class TestConfigValidation:
     def test_default_config_is_valid(self):
-        build_dumbbell(SimConfig())
+        Simulator(SimConfig())
 
     def test_bottleneck_service_time_is_4ms(self):
         # 1000-byte segment on the 2 Mbps link: 8000 bits / 2 Mbps = 4 ms
-        sim = build_dumbbell(SimConfig())
+        sim = Simulator(SimConfig())
         assert sim._ser_bottleneck_ms == pytest.approx(4.0)
 
     @pytest.mark.parametrize("cfg,field", [
@@ -40,11 +39,11 @@ class TestConfigValidation:
     ])
     def test_invalid_config_names_field(self, cfg, field):
         with pytest.raises(InvalidConfigError) as exc:
-            build_dumbbell(cfg)
+            Simulator(cfg)
         assert exc.value.field_name == field
 
     def test_fresh_simulator_state(self):
-        sim = build_dumbbell(SimConfig(seed=3))
+        sim = Simulator(SimConfig(seed=3))
         c = sim.counters()
         assert sim.now == 0.0
         assert c.cwnd_segments == 1
@@ -54,20 +53,20 @@ class TestConfigValidation:
 
 class TestSetCwnd:
     def test_setter_contract(self):
-        sim = build_dumbbell(SimConfig())
+        sim = Simulator(SimConfig())
         sim.set_cwnd(5)
         assert sim.counters().cwnd_segments == 5
 
     @pytest.mark.parametrize("bad", [0, -1, 201])
     def test_out_of_range_rejected(self, bad):
-        sim = build_dumbbell(SimConfig())
+        sim = Simulator(SimConfig())
         with pytest.raises(CwndRangeError):
             sim.set_cwnd(bad)
 
     def test_shrink_gates_sends_until_inflight_below_window(self):
         # 5 segments in flight, window shrunk to 3: no new transmissions
         # until three ACKs have drained the flight below the new window.
-        sim = build_dumbbell(SimConfig(seed=0))
+        sim = Simulator(SimConfig(seed=0))
         sim.set_cwnd(5)
         sim.advance(5.0)  # all five transmitted, none acked yet
         assert sim.in_flight == 5
@@ -88,7 +87,7 @@ class TestSetCwnd:
 
 class TestAdvance:
     def test_capacity_saturation_cwnd64(self):
-        sim = build_dumbbell(SimConfig(seed=1))
+        sim = Simulator(SimConfig(seed=1))
         sim.set_cwnd(64)
         stats = sim.advance(5000.0)
         assert stats.throughput_Bps == pytest.approx(CAPACITY_BPS, rel=0.02)
@@ -97,19 +96,19 @@ class TestAdvance:
         # Hand event trace with the default links: forward
         # 0.8+1+4+5+0.8+1 ms, reverse 0.032+1+0.16+5+0.032+1 ms, so one
         # 1000-byte segment every 19.824 ms -> 50444 B/s steady state.
-        sim = build_dumbbell(SimConfig(seed=1))
+        sim = Simulator(SimConfig(seed=1))
         stats = sim.advance(5000.0)
         assert stats.throughput_Bps == pytest.approx(50_444, rel=0.01)
         assert stats.avg_rtt_ms == pytest.approx(19.824, rel=1e-6)
 
     def test_zero_loss_never_drops(self):
-        sim = build_dumbbell(SimConfig(seed=5))
+        sim = Simulator(SimConfig(seed=5))
         sim.set_cwnd(32)
         sim.advance(3000.0)
         assert sim.counters().drops_error == 0
 
     def test_certain_loss(self):
-        sim = build_dumbbell(lossy_config(1.0, seed=2))
+        sim = Simulator(lossy_config(1.0, seed=2))
         sim.set_cwnd(4)
         stats = sim.advance(5000.0)
         c = sim.counters()
@@ -118,13 +117,13 @@ class TestAdvance:
         assert c.retransmissions > 0
 
     def test_interval_must_be_positive(self):
-        sim = build_dumbbell(SimConfig())
+        sim = Simulator(SimConfig())
         with pytest.raises(ValueError):
             sim.advance(0.0)
 
     def test_queue_overflow_drops(self):
         cfg = SimConfig(queue_capacity_segments=5, cwnd_max=200)
-        sim = build_dumbbell(cfg)
+        sim = Simulator(cfg)
         sim.set_cwnd(64)  # initial burst overruns the 5-slot queue
         sim.advance(100.0)
         assert sim.counters().drops_queue > 0
@@ -149,7 +148,7 @@ class TestRttEwma:
 
 class TestInvariants:
     def test_conservation_acked_never_exceeds_sent(self):
-        sim = build_dumbbell(lossy_config(0.2, seed=9))
+        sim = Simulator(lossy_config(0.2, seed=9))
         sim.set_cwnd(32)
         for _ in range(50):
             sim.advance(100.0)
@@ -158,7 +157,7 @@ class TestInvariants:
                 <= c.bytes_sent_total
 
     def test_counters_monotone(self):
-        sim = build_dumbbell(lossy_config(0.2, seed=4))
+        sim = Simulator(lossy_config(0.2, seed=4))
         sim.set_cwnd(64)
         prev = sim.counters()
         for _ in range(40):
@@ -172,7 +171,7 @@ class TestInvariants:
     def test_capacity_bound_over_40ms_windows(self):
         # loss-free: no cumulative-ACK jumps, so every 40 ms window obeys
         # the bottleneck rate plus one segment of rounding
-        sim = build_dumbbell(SimConfig(seed=11))
+        sim = Simulator(SimConfig(seed=11))
         sim.set_cwnd(64)
         bound = CAPACITY_BPS + sim.cfg.segment_bytes / 0.040
         for _ in range(250):
@@ -180,7 +179,7 @@ class TestInvariants:
             assert stats.throughput_Bps <= bound
 
     def test_window_gating(self):
-        sim = build_dumbbell(lossy_config(0.1, seed=13))
+        sim = Simulator(lossy_config(0.1, seed=13))
         sim.set_cwnd(20)
         for _ in range(100):
             sim.advance(10.0)
@@ -188,7 +187,7 @@ class TestInvariants:
 
     def test_determinism_same_seed(self):
         def run(seed):
-            sim = build_dumbbell(lossy_config(0.2, seed=seed))
+            sim = Simulator(lossy_config(0.2, seed=seed))
             sim.set_cwnd(50)
             return [sim.advance(100.0) for _ in range(30)]
 
@@ -196,8 +195,8 @@ class TestInvariants:
         assert run(21) != run(22)
 
     def test_interval_partition_invariance(self):
-        a = build_dumbbell(lossy_config(0.2, seed=7))
-        b = build_dumbbell(lossy_config(0.2, seed=7))
+        a = Simulator(lossy_config(0.2, seed=7))
+        b = Simulator(lossy_config(0.2, seed=7))
         a.set_cwnd(64)
         b.set_cwnd(64)
         a.advance(5000.0)
@@ -209,7 +208,7 @@ class TestInvariants:
         def mean_throughput(loss):
             vals = []
             for seed in range(10):
-                sim = build_dumbbell(lossy_config(loss, seed=seed))
+                sim = Simulator(lossy_config(loss, seed=seed))
                 sim.set_cwnd(64)
                 vals.append(sim.advance(3000.0).throughput_Bps)
             return statistics.mean(vals)

@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from rlcc.experiments import FactorLevels
 from rlcc.stats import (InvalidLevelError, RegressionRow, SingularDesignError,
                         code_level, make_interaction_design, ols_fit,
                         render_table, student_t_two_sided_p)
@@ -42,6 +45,11 @@ class TestCoding:
     ])
     def test_levels(self, factor, raw, coded):
         assert code_level(factor, raw) == coded
+
+    def test_codings_follow_factor_levels(self):
+        for name, levels in asdict(FactorLevels()).items():
+            coded = [code_level(name, level) for level in sorted(levels)]
+            assert coded == list(np.linspace(-1.0, 1.0, len(levels)))
 
     def test_unknown_factor(self):
         with pytest.raises(InvalidLevelError):
