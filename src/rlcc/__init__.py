@@ -6,9 +6,9 @@ from .netsim import (LinkSpec, SimConfig, Simulator, FlowCounters,
                      CwndRangeError)
 from .env import (Action, EnvConfig, Env, Observation, StepResult,
                   compute_reward, normalize, EpisodeDoneError)
-from .dqn import (DqnAgent, DqnConfig, QNetwork, ReplayBuffer, Transition,
-                  act_epsilon_greedy, td_targets, train_step, sync_target,
-                  TrainingDivergedError)
+from .dqn import (Batch, DqnAgent, DqnConfig, QNetwork, ReplayBuffer,
+                  Transition, act_epsilon_greedy, td_targets, train_step,
+                  sync_target, TrainingDivergedError)
 from .experiments import (FactorLevels, RunSpec, RunRecord, ConvergenceParams,
                           enumerate_runs, execute_run, convergence_step,
                           derive_seed)

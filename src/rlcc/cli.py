@@ -255,6 +255,8 @@ def cmd_single_run(args) -> int:
     layers, lr = dqn_cfg.hidden_count, dqn_cfg.learning_rate
     error_rate = env_cfg.sim.bottleneck_link.loss_prob
     if args.seed is not None:
+        if args.seed < 0:
+            raise CliError("--seed must be >= 0")
         seed = args.seed
     else:
         seed = experiments.derive_seed(args.base_seed, layers, lr,
@@ -283,6 +285,8 @@ def _grid_worker(job):
 
 
 def cmd_grid(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     settings = gather_settings(args)
     for key in FACTOR_KEYS.values():
         if key in settings:
@@ -296,10 +300,12 @@ def cmd_grid(args) -> int:
     except experiments.InvalidDesignError as exc:
         raise CliError(str(exc))
     jobs = [(spec, env_cfg, dqn_cfg) for spec in specs]
-    workers = args.jobs or os.cpu_count() or 1
+    # A pool starts all its workers at once, so never more than there are
+    # runs; one run per task lets a free worker take the next run.
+    workers = min(args.jobs or os.cpu_count() or 1, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_worker, jobs, chunksize=4))
+            results = list(pool.map(_grid_worker, jobs, chunksize=1))
     else:
         results = [_grid_worker(job) for job in jobs]
     records = [rec for rec, _ in results]
@@ -397,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", choices=("full", "pairwise"), default="full")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, >= 1 (default: available "
+                   "parallelism; never more than the runs)")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("analyze", help="coded-factor OLS on runs.csv")

@@ -2,7 +2,7 @@
 
 A fully-connected Q-network (ReLU hidden layers, linear output) maps the six
 normalized flow observables to Q-values for the three window actions.
-Training is online TD(0): uniform replay buffer, epsilon-greedy exploration
+Training is online TD(0): uniform replay ring, epsilon-greedy exploration
 with geometric decay, a periodically synced target network, MSE loss on the
 taken action's Q-value, and plain gradient descent.  Gradients are computed
 by hand with reverse-mode accumulation; correctness is pinned by
@@ -12,6 +12,7 @@ finite-difference tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,31 @@ class Transition:
     reward: float
     next_state: np.ndarray
     done: bool
+
+
+class Batch(NamedTuple):
+    """Transitions as row arrays, one row each: a sampled batch, or the
+    replay ring's storage."""
+    states: np.ndarray        # [n, INPUT_DIM] float64
+    actions: np.ndarray       # [n] int64
+    rewards: np.ndarray       # [n] float64
+    next_states: np.ndarray   # [n, INPUT_DIM] float64
+    done: np.ndarray          # [n] bool
+
+
+def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
+    """A Batch as is, or a sequence of Transitions stacked into one."""
+    if isinstance(batch, Batch):
+        if len(batch.rewards) == 0:
+            raise ValueError("batch must be non-empty")
+        return batch
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    return Batch(np.stack([t.state for t in batch]),
+                 np.array([t.action_index for t in batch]),
+                 np.array([t.reward for t in batch]),
+                 np.stack([t.next_state for t in batch]),
+                 np.array([t.done for t in batch]))
 
 
 @dataclass(frozen=True)
@@ -168,16 +194,12 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
     return max(cfg.epsilon_min, cfg.epsilon_start * cfg.epsilon_decay ** step)
 
 
-def td_targets(batch: list[Transition], target_net: QNetwork,
+def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
                gamma: float) -> np.ndarray:
     """Bellman backups: r, or r + gamma * max_a' Q_target(s', a')."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    rewards = np.array([t.reward for t in batch])
-    done = np.array([t.done for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    next_max = target_net.forward_batch(next_states).max(axis=1)
-    return rewards + gamma * next_max * ~done
+    batch = as_batch(batch)
+    next_max = target_net.forward_batch(batch.next_states).max(axis=1)
+    return batch.rewards + gamma * next_max * ~batch.done
 
 
 def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
@@ -208,13 +230,12 @@ def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
 
 
 def train_step(net: QNetwork, target_net: QNetwork,
-               batch: list[Transition], lr: float,
+               batch: Batch | Sequence[Transition], lr: float,
                gamma: float) -> float:
     """One TD(0) gradient-descent update in place; returns the batch loss."""
+    batch = as_batch(batch)
     targets = td_targets(batch, target_net, gamma)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action_index for t in batch])
-    loss, grads = loss_and_grads(net, states, actions, targets)
+    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
     for (w, b), (dw, db) in zip(net.layers, grads):
@@ -224,31 +245,44 @@ def train_step(net: QNetwork, target_net: QNetwork,
 
 
 class ReplayBuffer:
-    """Uniform FIFO replay buffer; sampling is without replacement."""
+    """Uniform FIFO replay ring of preallocated row arrays; sampling is
+    without replacement.  Push k (counting from 0) writes row k % capacity,
+    so the oldest transition is the one overwritten."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage: list[Transition] = []
-        self._next = 0
+        self._rows = Batch(np.empty((capacity, INPUT_DIM)),
+                           np.empty(capacity, dtype=np.int64),
+                           np.empty(capacity),
+                           np.empty((capacity, INPUT_DIM)),
+                           np.empty(capacity, dtype=bool))
+        self._pushed = 0
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return min(self._pushed, self.capacity)
 
     def push(self, tr: Transition) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(tr)
-        else:
-            self._storage[self._next] = tr
-            self._next = (self._next + 1) % self.capacity
+        # Row assignment would broadcast a wrongly shaped state silently.
+        if np.shape(tr.state) != (INPUT_DIM,) \
+                or np.shape(tr.next_state) != (INPUT_DIM,):
+            raise ValueError(f"states must have shape ({INPUT_DIM},)")
+        row = self._pushed % self.capacity
+        rows = self._rows
+        rows.states[row] = tr.state
+        rows.actions[row] = tr.action_index
+        rows.rewards[row] = tr.reward
+        rows.next_states[row] = tr.next_state
+        rows.done[row] = tr.done
+        self._pushed += 1
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        if n > len(self._storage):
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        if n > len(self):
             raise InsufficientDataError(
-                f"buffer holds {len(self._storage)} < {n} transitions")
-        idx = rng.choice(len(self._storage), size=n, replace=False)
-        return [self._storage[i] for i in idx]
+                f"buffer holds {len(self)} < {n} transitions")
+        idx = rng.choice(len(self), size=n, replace=False)
+        return Batch(*(column[idx] for column in self._rows))
 
 
 class DqnAgent:

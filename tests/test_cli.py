@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+from rlcc import cli
 from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
                       STEPS_HEADER, CliError, build_configs, parse_config_file,
                       run, write_csv_atomic)
@@ -115,6 +116,10 @@ class TestInvalidInput:
         ("train", "--error-rate", "1.5"),
         ("baseline", "--error-rate", "-0.1"),
         ("train", "--lr", "0"),
+        ("train", "--seed", "-1"),
+        ("baseline", "--seed", "-1"),
+        ("grid", "--jobs", "0", "--reps", "1"),
+        ("grid", "--jobs", "-3", "--reps", "1"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
@@ -270,6 +275,37 @@ class TestGrid:
             == (parallel / "runs.csv").read_bytes()
         assert (serial / "steps.csv").read_bytes() \
             == (parallel / "steps.csv").read_bytes()
+
+    def test_one_run_per_task_and_no_idle_workers(self, tmp_path, capsys,
+                                                  monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records how cmd_grid sizes and feeds its pool; runs inline."""
+
+            def __init__(self, max_workers):
+                pools.append({"max_workers": max_workers})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                pools[-1]["chunksize"] = chunksize
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+        assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "64",
+                       "--out-dir", str(pooled)) == 0
+        assert pools == [{"max_workers": 12, "chunksize": 1}]
+        assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "1",
+                       "--out-dir", str(serial)) == 0
+        assert len(pools) == 1
+        for name in ("runs.csv", "steps.csv"):
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
 
     def test_base_seed_changes_output(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig,
+from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, Batch, DqnAgent, DqnConfig,
                       InsufficientDataError, QNetwork, ReplayBuffer,
                       Transition, TrainingDivergedError, act_epsilon_greedy,
                       epsilon_at, loss_and_grads, sync_target, td_targets,
@@ -215,7 +216,7 @@ class TestReplayBuffer:
         for tr in trs:
             buf.push(tr)
         everything = buf.sample(len(buf), np.random.default_rng(0))
-        rewards = sorted(t.reward for t in everything)
+        rewards = sorted(everything.rewards)
         assert rewards == [2.0, 3.0, 4.0]
 
     def test_sample_without_replacement(self):
@@ -224,7 +225,7 @@ class TestReplayBuffer:
             buf.push(Transition(np.zeros(6), 0, float(i), np.zeros(6), False))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            rewards = [t.reward for t in buf.sample(10, rng)]
+            rewards = list(buf.sample(10, rng).rewards)
             assert sorted(rewards) == [float(i) for i in range(10)]
 
     def test_insufficient_data(self):
@@ -232,6 +233,15 @@ class TestReplayBuffer:
         buf.push(Transition(np.zeros(6), 0, 0.0, np.zeros(6), False))
         with pytest.raises(InsufficientDataError):
             buf.sample(2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("state, next_state", [
+        (np.zeros(1), np.zeros(6)), (0.5, np.zeros(6)),
+        (np.zeros(6), np.zeros(7)), (np.zeros((1, 6)), np.zeros(6))])
+    def test_rejects_misshaped_states(self, state, next_state):
+        buf = ReplayBuffer(4)
+        with pytest.raises(ValueError, match="shape"):
+            buf.push(Transition(state, 0, 0.0, next_state, False))
+        assert len(buf) == 0
 
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(100)
@@ -241,11 +251,93 @@ class TestReplayBuffer:
         hits = np.zeros(100)
         draws = 2000
         for _ in range(draws):
-            for t in buf.sample(32, rng):
-                hits[int(t.reward)] += 1
+            for reward in buf.sample(32, rng).rewards:
+                hits[int(reward)] += 1
         freq = hits / (draws * 32)
         # each slot ~ hypergeometric mean 0.01; loose 5-sigma band
         assert np.all(np.abs(freq - 0.01) < 0.0025)
+
+
+class ListReplayBuffer:
+    """Reference: the replay buffer as a list of Transitions, overwritten
+    oldest-first once full, and sampled batches stacked from it."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._storage = []
+        self._next = 0
+
+    def __len__(self):
+        return len(self._storage)
+
+    def push(self, tr):
+        if len(self._storage) < self.capacity:
+            self._storage.append(tr)
+        else:
+            self._storage[self._next] = tr
+            self._next = (self._next + 1) % self.capacity
+
+    def sample(self, n, rng):
+        idx = rng.choice(len(self._storage), size=n, replace=False)
+        return [self._storage[i] for i in idx]
+
+
+def stack_reference(transitions):
+    """The arrays td_targets and train_step built from a Transition list."""
+    return Batch(states=np.stack([t.state for t in transitions]),
+                 actions=np.array([t.action_index for t in transitions]),
+                 rewards=np.array([t.reward for t in transitions]),
+                 next_states=np.stack([t.next_state for t in transitions]),
+                 done=np.array([t.done for t in transitions]))
+
+
+def train_step_reference(net, target_net, transitions, lr, gamma):
+    """train_step as computed from a Transition list."""
+    ref = stack_reference(transitions)
+    next_max = target_net.forward_batch(ref.next_states).max(axis=1)
+    targets = ref.rewards + gamma * next_max * ~ref.done
+    loss, grads = loss_and_grads(net, ref.states, ref.actions, targets)
+    for (w, b), (dw, db) in zip(net.layers, grads):
+        w -= lr * dw
+        b -= lr * db
+    return loss
+
+
+class TestReplayRingMatchesList:
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 50), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_samples_and_training_are_bitwise_equal(self, capacity, data,
+                                                    seed):
+        pushes = data.draw(st.integers(1, 3 * capacity), label="pushes")
+        sizes = data.draw(st.lists(st.integers(1, min(pushes, capacity)),
+                                   min_size=1, max_size=8), label="sizes")
+        source = np.random.default_rng(seed)
+        ring, reference = ReplayBuffer(capacity), ListReplayBuffer(capacity)
+        for _ in range(pushes):
+            tr = Transition(source.normal(size=6), int(source.integers(3)),
+                            float(source.normal()), source.normal(size=6),
+                            bool(source.random() < 0.3))
+            ring.push(tr)
+            reference.push(tr)
+        assert len(ring) == len(reference)
+
+        net = small_net(width=16, seed=seed % 1000)
+        ref_net, target = net.clone(), net.clone()
+        ring_rng = np.random.default_rng(seed + 1)
+        ref_rng = np.random.default_rng(seed + 1)
+        for n in sizes:
+            batch = ring.sample(n, ring_rng)
+            expected = reference.sample(n, ref_rng)
+            for got, want in zip(batch, stack_reference(expected)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            loss = train_step(net, target, batch, lr=0.01, gamma=0.95)
+            ref_loss = train_step_reference(ref_net, target, expected,
+                                            lr=0.01, gamma=0.95)
+            assert loss == ref_loss
+        for (w, b), (rw, rb) in zip(net.layers, ref_net.layers):
+            assert np.array_equal(w, rw) and np.array_equal(b, rb)
 
 
 class TestConfigValidation:
