@@ -11,9 +11,9 @@ baseline   one episode with uniform-random actions (control condition)
 Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
-and --error-rate win over both.  Unknown keys and non-finite numbers are
-rejected.  All CSVs are written atomically and every output is fully
-determined by --base-seed.
+and --error-rate win over both.  Unknown keys, non-finite numbers and runs
+past the MAX_STEPS / MAX_SIM_MS budget are rejected.  CSVs are written
+atomically; every output is fully determined by --base-seed.
 
 Exit codes: 0 success, 2 invalid input, 3 training divergence (train),
 4 partial grid failure.
@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 EXIT_PARTIAL = 4
+
+#: Simulated-work budget of a simulate command or a train/baseline/grid run.
+MAX_SIM_MS = 1e7
+MAX_STEPS = 100_000
 
 STEPS_HEADER = ["run_id", "step", "cwnd", "throughput_Bps", "avg_rtt_ms",
                 "reward", "epsilon", "loss"]
@@ -151,6 +155,12 @@ def build_configs(settings: dict[str, str]):
     return sim_cfg, env_cfg, dqn_cfg
 
 
+def check_budget(steps: float, interval_ms: float) -> None:
+    if not (steps <= MAX_STEPS and steps * interval_ms <= MAX_SIM_MS):
+        raise CliError(f"{steps:g} steps of {interval_ms:g} ms exceed the "
+                       f"budget of {MAX_STEPS} steps and {MAX_SIM_MS:g} ms")
+
+
 def gather_settings(args) -> dict[str, str]:
     """Config file, then --override, then shorthand flags; later wins."""
     settings: dict[str, str] = {}
@@ -213,13 +223,15 @@ def cmd_simulate(args) -> int:
     duration_ms = _parse("--duration-ms", finite_float, args.duration_ms)
     if duration_ms <= 0:
         raise CliError("--duration-ms must be positive")
+    interval = env_cfg.decision_interval_ms
+    # checked before rounding, which overflows on an infinite quotient
+    check_budget(max(1.0, duration_ms / interval), interval)
+    steps = max(1, int(round(duration_ms / interval)))
     try:
         sim = Simulator(sim_cfg)
         sim.set_cwnd(args.cwnd)
     except (InvalidConfigError, ValueError) as exc:
         raise CliError(str(exc))
-    interval = env_cfg.decision_interval_ms
-    steps = max(1, int(round(duration_ms / interval)))
     rows = []
     for step in range(1, steps + 1):
         st = sim.advance(interval)
@@ -252,6 +264,7 @@ def cmd_single_run(args) -> int:
     """train (online DQN) or baseline (uniform-random actions): one episode."""
     policy = args.subcommand
     _, env_cfg, dqn_cfg = build_configs(gather_settings(args))
+    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
     layers, lr = dqn_cfg.hidden_count, dqn_cfg.learning_rate
     error_rate = env_cfg.sim.bottleneck_link.loss_prob
     if args.seed is not None:
@@ -293,6 +306,7 @@ def cmd_grid(args) -> int:
             raise CliError(f"{key} is set by the grid design and cannot "
                            "be configured")
     _, env_cfg, dqn_cfg = build_configs(settings)
+    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
     try:
         specs = experiments.enumerate_runs(
             experiments.FactorLevels(), design=args.design,

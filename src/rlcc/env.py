@@ -73,8 +73,8 @@ class EnvConfig:
     normalization_scales: tuple = DEFAULT_SCALES
 
     def validate(self) -> None:
-        if self.decision_interval_ms <= 0:
-            raise ValueError("decision_interval_ms must be positive")
+        if not 0 < self.decision_interval_ms < float("inf"):
+            raise ValueError("decision_interval_ms must be positive and finite")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
         if not 1 <= self.cwnd_min <= self.cwnd_max:

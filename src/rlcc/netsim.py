@@ -13,14 +13,20 @@ uncongested reverse path with fixed latency and are never lost.  Un-ACKed
 segments retransmit a fixed RTO after each (re)transmission; RTT samples
 follow Karn's rule (never-retransmitted segments only) and feed an EWMA.
 
-All randomness flows from the per-instance seeded PRNG and events are ordered
-by (timestamp, insertion sequence), so two simulators with the same config
-produce bit-identical results for identical call sequences.
+Heap events are the sender link, ACK arrivals, one armed retransmission
+timer and a kick of an idle sender.  Later hops are FIFO with fixed service
+times, so a transmission's fate is computed when it starts, with the sums an
+event per hop would take, in the order an event per hop would take them
+(time, then the times of the events that led to it, then insertion).  All
+randomness flows from the per-instance seeded PRNG: equal configs and call
+sequences give bit-identical results.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -94,11 +100,11 @@ def validate_config(cfg: SimConfig) -> None:
     """Raise InvalidConfigError naming the first violated field."""
     for name, link in (("access_link", cfg.access_link),
                        ("bottleneck_link", cfg.bottleneck_link)):
-        if link.rate_bps <= 0:
-            raise InvalidConfigError(f"{name}.rate_bps", "must be positive")
-        if link.prop_delay_ms < 0:
+        if not 0 < link.rate_bps < math.inf:
+            raise InvalidConfigError(f"{name}.rate_bps", "must be in (0, inf)")
+        if not 0 <= link.prop_delay_ms < math.inf:
             raise InvalidConfigError(f"{name}.prop_delay_ms",
-                                     "must be non-negative")
+                                     "must be finite and non-negative")
         if not 0.0 <= link.loss_prob <= 1.0:
             raise InvalidConfigError(f"{name}.loss_prob",
                                      "must be in [0, 1]")
@@ -110,9 +116,9 @@ def validate_config(cfg: SimConfig) -> None:
         raise InvalidConfigError("queue_capacity_segments", "must be >= 1")
     one_way_ms = 2 * cfg.access_link.prop_delay_ms \
         + cfg.bottleneck_link.prop_delay_ms
-    if cfg.rto_ms <= 4 * one_way_ms:
-        raise InvalidConfigError(
-            "rto_ms", f"must exceed 4x one-way propagation ({4 * one_way_ms} ms)")
+    if not 4 * one_way_ms < cfg.rto_ms < math.inf:
+        raise InvalidConfigError("rto_ms", "must be finite and exceed 4x "
+                                 f"one-way propagation ({4 * one_way_ms} ms)")
     if not 0.0 < cfg.rtt_ewma_alpha <= 1.0:
         raise InvalidConfigError("rtt_ewma_alpha", "must be in (0, 1]")
     if cfg.cwnd_max < 1:
@@ -129,26 +135,20 @@ def update_rtt_ewma(ewma_ms: float | None, sample_ms: float,
     return (1.0 - alpha) * ewma_ms + alpha * sample_ms
 
 
-# Event kinds, dispatched in _dispatch.
-_SND_TX_DONE = 0     # sender access link finished serializing a segment
-_R1_ARRIVE = 1       # segment reached the bottleneck ingress
-_BN_TX_DONE = 2      # bottleneck finished serializing a segment
-_R2_ARRIVE = 3       # segment reached router2 (channel-error draw here)
-_RCV_TX_DONE = 4     # receiver-side access link finished serializing
-_RCV_ARRIVE = 5      # segment delivered to the receiver
-_ACK_ARRIVE = 6      # cumulative ACK delivered to the sender
-_RTO_FIRE = 7        # retransmission timer
-_SND_KICK = 8        # poke the sender access link to start serializing
+# A heap entry is (time, parent time, grandparent time, great-grandparent
+# time, insertion seq, kind, payload); its first four fields are its key.
+# An event d ms after the one keyed k, or a hop computed d ms after it, is
+# keyed (k[0] + d, k[0], k[1], k[2]).  Kinds index advance()'s handlers.
+_SND_READY = 0       # sender link finished a segment, or a kick of it idle
+_ACK_ARRIVE = 1      # cumulative ACK delivered to the sender
+_RTO_FIRE = 2        # the armed retransmission timer
 
 
+@dataclass(slots=True)
 class _Segment:
-    __slots__ = ("seq", "first_send_ms", "retrans_count", "xmit_id")
-
-    def __init__(self, seq: int):
-        self.seq = seq
-        self.first_send_ms = -1.0
-        self.retrans_count = 0
-        self.xmit_id = 0
+    first_send_ms: float = -1.0
+    retrans_count: int = 0
+    xmit_id: int = 0
 
 
 class Simulator:
@@ -179,12 +179,17 @@ class Simulator:
         self._last_acked = -1
         self._unacked: dict[int, _Segment] = {}
 
-        self._snd_busy = False
+        # At most one _SND_READY is in the heap: a finish or a kick.
+        self._snd_ready_pending = False
         self._snd_queue: deque[int] = deque()
-        self._bn_busy = False
-        self._bn_queue: deque[int] = deque()
-        self._rcv_busy = False
-        self._rcv_queue: deque[int] = deque()
+        # Keys of the bottleneck departures still ahead, the one in service
+        # first, and of the receiver link's latest departure.
+        self._bn: deque[tuple] = deque()
+        self._rcv_done: tuple = (-math.inf,)
+        # Timer entries in deadline order; the head is the armed one.
+        self._rto: deque[tuple] = deque()
+        # Per drop counter, the times its dropped segments reach the router.
+        self._drop_times = {"drops_queue": [], "drops_error": []}
 
         self._expected_seq = 0
         self._ooo: set[int] = set()
@@ -196,7 +201,7 @@ class Simulator:
         self.drops_error = 0
         self.drops_queue = 0
 
-        self._try_send()
+        self._try_send((self.now, math.inf, math.inf))
 
     # -- public surface ----------------------------------------------------
 
@@ -224,23 +229,28 @@ class Simulator:
             raise CwndRangeError(
                 f"cwnd {segments} outside [1, {self.cfg.cwnd_max}]")
         self.cwnd = segments
-        self._try_send()
+        self._try_send((self.now, math.inf, math.inf))
 
     def advance(self, interval_ms: float) -> IntervalStats:
         """Process all events up to now + interval_ms and return the
         interval's stats."""
-        if interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
+        if not 0 < interval_ms < math.inf:
+            raise ValueError("interval_ms must be positive and finite")
         t_end = self.now + interval_ms
         acked_before = self.segments_acked_total
         drops_before = self.drops_error + self.drops_queue
 
         heap = self._heap
+        handlers = (self._on_snd_ready, self._on_ack_arrive, self._on_rto_fire)
         while heap and heap[0][0] <= t_end:
-            time_ms, _, kind, payload = heapq.heappop(heap)
-            self.now = time_ms
-            self._dispatch(kind, payload)
+            ev = heapq.heappop(heap)
+            self.now = ev[0]
+            handlers[ev[5]](ev)
         self.now = t_end
+        for name, times in self._drop_times.items():
+            n = bisect.bisect_right(times, t_end)
+            setattr(self, name, getattr(self, name) + n)
+            del times[:n]
 
         acked_bytes = (self.segments_acked_total - acked_before) \
             * self.cfg.segment_bytes
@@ -252,120 +262,84 @@ class Simulator:
             interval_ms=interval_ms,
         )
 
-    # -- event machinery ---------------------------------------------------
-
-    def _schedule(self, at_ms: float, kind: int, payload) -> None:
-        self._evseq += 1
-        heapq.heappush(self._heap, (at_ms, self._evseq, kind, payload))
-
-    def _dispatch(self, kind: int, payload) -> None:
-        if kind == _SND_TX_DONE:
-            self._on_snd_tx_done(payload)
-        elif kind == _R1_ARRIVE:
-            self._on_r1_arrive(payload)
-        elif kind == _BN_TX_DONE:
-            self._on_bn_tx_done(payload)
-        elif kind == _R2_ARRIVE:
-            self._on_r2_arrive(payload)
-        elif kind == _RCV_TX_DONE:
-            self._on_rcv_tx_done(payload)
-        elif kind == _RCV_ARRIVE:
-            self._on_rcv_arrive(payload)
-        elif kind == _ACK_ARRIVE:
-            self._on_ack_arrive(payload)
-        elif kind == _RTO_FIRE:
-            self._on_rto_fire(payload)
-        elif kind == _SND_KICK:
-            if not self._snd_busy:
-                self._snd_start_next()
-
     # -- sender ------------------------------------------------------------
 
-    def _try_send(self) -> None:
+    def _try_send(self, ev: tuple) -> None:
+        """Fill the window opened by ``ev``; a call from outside passes
+        (now, inf, inf), after every event processed at now."""
         while len(self._unacked) < self.cwnd:
             seq = self._next_seq
             self._next_seq += 1
-            self._unacked[seq] = _Segment(seq)
-            self._enqueue_snd(seq)
+            self._unacked[seq] = _Segment()
+            self._enqueue_snd(seq, ev)
 
-    def _enqueue_snd(self, seq: int) -> None:
-        # Transmission starts from the event loop, never synchronously, so
-        # counters only move during advance().
+    def _enqueue_snd(self, seq: int, ev: tuple) -> None:
+        # Transmission starts from the event loop, so counters only move in
+        # advance(); a busy link takes the segment when it finishes.
         self._snd_queue.append(seq)
-        self._schedule(self.now, _SND_KICK, None)
+        if not self._snd_ready_pending:
+            self._snd_ready_pending = True
+            self._evseq += 1
+            heapq.heappush(self._heap, (self.now, ev[0], ev[1], ev[2],
+                                        self._evseq, _SND_READY, None))
 
-    def _snd_start_next(self) -> None:
+    def _on_snd_ready(self, ev: tuple) -> None:
+        """The sender link finished a segment, or an idle one is kicked."""
+        self._snd_ready_pending = False
         while self._snd_queue:
             seq = self._snd_queue.popleft()
             seg = self._unacked.get(seq)
             if seg is None:
                 continue  # retransmission that was queued but acked meanwhile
-            self._snd_busy = True
+            self._snd_ready_pending = True
+            now, p1, p2 = ev[0], ev[1], ev[2]
             self.bytes_sent_total += self.cfg.segment_bytes
             if seg.first_send_ms < 0:
-                seg.first_send_ms = self.now
+                seg.first_send_ms = now
             seg.xmit_id += 1
-            self._schedule(self.now + self.cfg.rto_ms, _RTO_FIRE,
-                           (seq, seg.xmit_id))
-            self._schedule(self.now + self._ser_access_ms, _SND_TX_DONE, seq)
+            # The timer waits in deadline order; it enters the heap once every
+            # earlier one has fired or been found stale.
+            self._evseq += 2
+            timer = (now + self.cfg.rto_ms, now, p1, p2, self._evseq - 1,
+                     _RTO_FIRE, (seq, seg.xmit_id))
+            self._rto.append(timer)
+            if len(self._rto) == 1:
+                heapq.heappush(self._heap, timer)
+            done = (now + self._ser_access_ms, now, p1, p2, self._evseq,
+                    _SND_READY, None)
+            heapq.heappush(self._heap, done)
+            self._forward(seq, done)
             return
 
-    def _on_snd_tx_done(self, seq: int) -> None:
-        self._schedule(self.now + self.cfg.access_link.prop_delay_ms,
-                       _R1_ARRIVE, seq)
-        self._snd_busy = False
-        self._snd_start_next()
-
-    # -- bottleneck --------------------------------------------------------
-
-    def _on_r1_arrive(self, seq: int) -> None:
-        if self._bn_busy:
-            if len(self._bn_queue) < self.cfg.queue_capacity_segments:
-                self._bn_queue.append(seq)
-            else:
-                self.drops_queue += 1
-        else:
-            self._start_bn(seq)
-
-    def _start_bn(self, seq: int) -> None:
-        self._bn_busy = True
-        self._schedule(self.now + self._ser_bottleneck_ms, _BN_TX_DONE, seq)
-
-    def _on_bn_tx_done(self, seq: int) -> None:
-        self._schedule(self.now + self.cfg.bottleneck_link.prop_delay_ms,
-                       _R2_ARRIVE, seq)
-        if self._bn_queue:
-            self._start_bn(self._bn_queue.popleft())
-        else:
-            self._bn_busy = False
-
-    def _on_r2_arrive(self, seq: int) -> None:
-        # Channel error on the congested link; the corrupted segment has
-        # already consumed bottleneck capacity.  Fresh draw per traversal.
-        if self.cfg.bottleneck_link.loss_prob > 0.0 \
-                and self._rng.random() < self.cfg.bottleneck_link.loss_prob:
-            self.drops_error += 1
+    def _forward(self, seq: int, done: tuple) -> None:
+        """Carry a transmission from its sender-link finish ``done`` through
+        the bottleneck and receiver link, and schedule the ACK it causes."""
+        cfg = self.cfg
+        t = done[0]
+        r1 = (t + cfg.access_link.prop_delay_ms, t, done[1], done[2])
+        bn = self._bn
+        while bn and bn[0] < r1:
+            bn.popleft()   # departed before the segment reached router1
+        if len(bn) > cfg.queue_capacity_segments:
+            # one segment in service and a full queue: drop-tail
+            self._drop_times["drops_queue"].append(r1[0])
             return
-        if self._rcv_busy:
-            self._rcv_queue.append(seq)
-        else:
-            self._start_rcv(seq)
-
-    def _start_rcv(self, seq: int) -> None:
-        self._rcv_busy = True
-        self._schedule(self.now + self._ser_access_ms, _RCV_TX_DONE, seq)
-
-    def _on_rcv_tx_done(self, seq: int) -> None:
-        self._schedule(self.now + self.cfg.access_link.prop_delay_ms,
-                       _RCV_ARRIVE, seq)
-        if self._rcv_queue:
-            self._start_rcv(self._rcv_queue.popleft())
-        else:
-            self._rcv_busy = False
-
-    # -- receiver ----------------------------------------------------------
-
-    def _on_rcv_arrive(self, seq: int) -> None:
+        # Service starts at the last departure if busy, else on arrival.
+        p = bn[-1] if bn else r1
+        t = p[0] + self._ser_bottleneck_ms
+        bn.append((t, p[0], p[1], p[2]))
+        r2 = (t + cfg.bottleneck_link.prop_delay_ms, t, p[0], p[1])
+        # Channel error after the segment used the bottleneck's capacity: a
+        # fresh draw per traversal, in bottleneck FIFO order.
+        loss = cfg.bottleneck_link.loss_prob
+        if loss > 0.0 and self._rng.random() < loss:
+            self._drop_times["drops_error"].append(r2[0])
+            return
+        # The receiver link is idle if its last finish precedes the arrival.
+        p = r2 if self._rcv_done < r2 else self._rcv_done
+        t = p[0] + self._ser_access_ms
+        self._rcv_done = (t, p[0], p[1], p[2])
+        arrive = t + cfg.access_link.prop_delay_ms
         if seq == self._expected_seq:
             self._expected_seq += 1
             while self._expected_seq in self._ooo:
@@ -373,16 +347,18 @@ class Simulator:
                 self._expected_seq += 1
             # One cumulative ACK per in-order arrival; seq is the trigger
             # segment used for RTT sampling at the sender.
-            self._schedule(self.now + self._ack_delay_ms, _ACK_ARRIVE,
-                           (self._expected_seq - 1, seq))
+            self._evseq += 1
+            heapq.heappush(self._heap, (
+                arrive + self._ack_delay_ms, arrive, t, p[0], self._evseq,
+                _ACK_ARRIVE, (self._expected_seq - 1, seq)))
         elif seq > self._expected_seq:
             self._ooo.add(seq)
         # seq < expected: duplicate of an already delivered segment; ignore.
 
-    # -- sender, ACK and timer side ---------------------------------------
+    # -- ACK and timer side ------------------------------------------------
 
-    def _on_ack_arrive(self, payload) -> None:
-        cum, trigger_seq = payload
+    def _on_ack_arrive(self, ev: tuple) -> None:
+        cum, trigger_seq = ev[6]
         if cum <= self._last_acked:
             return
         trigger_seg = None
@@ -397,13 +373,23 @@ class Simulator:
             sample = self.now - trigger_seg.first_send_ms
             self.rtt_ewma_ms = update_rtt_ewma(
                 self.rtt_ewma_ms, sample, self.cfg.rtt_ewma_alpha)
-        self._try_send()
+        self._try_send(ev)
 
-    def _on_rto_fire(self, payload) -> None:
-        seq, xmit_id = payload
+    def _is_live(self, timer: tuple) -> bool:
+        seq, xmit_id = timer[6]
         seg = self._unacked.get(seq)
-        if seg is None or seg.xmit_id != xmit_id:
-            return  # acked, or superseded by a later (re)transmission
-        self.retransmissions += 1
-        seg.retrans_count += 1
-        self._enqueue_snd(seq)
+        return seg is not None and seg.xmit_id == xmit_id
+
+    def _on_rto_fire(self, ev: tuple) -> None:
+        rto = self._rto
+        rto.popleft()
+        if self._is_live(ev):
+            self.retransmissions += 1
+            self._unacked[ev[6][0]].retrans_count += 1
+            self._enqueue_snd(ev[6][0], ev)
+        # Arm the next live timer; acked or superseded ones would only have
+        # fired as no-ops.
+        while rto and not self._is_live(rto[0]):
+            rto.popleft()
+        if rto:
+            heapq.heappush(self._heap, rto[0])

@@ -120,6 +120,19 @@ class TestInvalidInput:
         ("baseline", "--seed", "-1"),
         ("grid", "--jobs", "0", "--reps", "1"),
         ("grid", "--jobs", "-3", "--reps", "1"),
+        ("simulate", "--duration-ms", "1e12"),
+        ("simulate", "--duration-ms", "10000100"),
+        ("simulate", "--duration-ms", "200000",
+         "--override", "env.decision_interval_ms=1"),
+        ("simulate", "--duration-ms", "1",
+         "--override", "env.decision_interval_ms=1e12"),
+        ("simulate", "--duration-ms", "1",
+         "--override", "env.decision_interval_ms=5e-324"),
+        ("train", "--override", "env.decision_interval_ms=1e12"),
+        ("train", "--override", "env.episode_length=100001",
+         "--override", "env.decision_interval_ms=0.01"),
+        ("baseline", "--override", "env.decision_interval_ms=50001"),
+        ("grid", "--reps", "1", "--override", "env.decision_interval_ms=1e12"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2

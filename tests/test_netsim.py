@@ -1,9 +1,13 @@
+import math
 import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
+from rlcc.env import EnvConfig
 from rlcc.netsim import (CwndRangeError, InvalidConfigError, LinkSpec,
                          SimConfig, Simulator, update_rtt_ewma)
 
@@ -41,6 +45,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError) as exc:
             Simulator(cfg)
         assert exc.value.field_name == field
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call,field", [
+        (lambda v: Simulator(SimConfig()).advance(v), "interval_ms"),
+        (lambda v: Simulator(SimConfig(rto_ms=v)), "rto_ms"),
+        (lambda v: Simulator(SimConfig(access_link=LinkSpec(10_000_000, v))),
+         "access_link.prop_delay_ms"),
+        (lambda v: Simulator(SimConfig(
+            bottleneck_link=LinkSpec(2_000_000, v))),
+         "bottleneck_link.prop_delay_ms"),
+        (lambda v: EnvConfig(decision_interval_ms=v).validate(),
+         "decision_interval_ms"),
+        (lambda v: Simulator(SimConfig(bottleneck_link=LinkSpec(v, 5.0))),
+         "bottleneck_link.rate_bps"),
+    ], ids=["advance", "rto", "access_delay", "bottleneck_delay",
+            "decision_interval", "bottleneck_rate"])
+    def test_non_finite_time_rejected(self, call, field, value):
+        with pytest.raises(ValueError, match=field):
+            call(value)
 
     def test_fresh_simulator_state(self):
         sim = Simulator(SimConfig(seed=3))
@@ -214,3 +237,44 @@ class TestInvariants:
             return statistics.mean(vals)
 
         assert mean_throughput(0.2) < mean_throughput(0.0)
+
+
+class SimulatorMachine(RuleBasedStateMachine):
+    """Random set_cwnd / advance sequences on lossy, small-queue configs."""
+
+    @initialize(loss=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+                queue=st.integers(1, 250), seed=st.integers(0, 2**32 - 1))
+    def start(self, loss, queue, seed):
+        self.sim = Simulator(lossy_config(loss, seed=seed,
+                                          queue_capacity_segments=queue))
+        self.max_cwnd = self.sim.cwnd
+        self.prev = self.sim.counters()
+
+    @rule(cwnd=st.integers(1, 200))
+    def set_cwnd(self, cwnd):
+        self.sim.set_cwnd(cwnd)
+        self.max_cwnd = max(self.max_cwnd, cwnd)
+
+    @rule(interval=st.floats(1.0, 250.0))
+    def advance(self, interval):
+        before = self.sim.now
+        stats = self.sim.advance(interval)
+        assert self.sim.now == before + interval
+        assert stats.interval_ms == interval
+
+    @invariant()
+    def counters_consistent(self):
+        c = self.sim.counters()
+        for name in ("bytes_sent_total", "segments_acked_total",
+                     "retransmissions", "drops_error", "drops_queue"):
+            assert getattr(c, name) >= getattr(self.prev, name)
+        self.prev = c
+        assert self.sim.in_flight <= self.max_cwnd
+        seg = self.sim.cfg.segment_bytes
+        assert c.segments_acked_total * seg <= c.bytes_sent_total
+        assert c.bytes_sent_total // seg >= \
+            c.segments_acked_total + c.drops_error + c.drops_queue
+
+
+SimulatorMachine.TestCase.settings = settings(max_examples=60, deadline=None)
+TestSimulatorMachine = SimulatorMachine.TestCase

@@ -1,0 +1,108 @@
+"""Differential test: rlcc.netsim.Simulator against the event-per-hop
+reference it replaced (tests/reference_netsim.py).
+
+Configs mix "round" values, under which events of different hops land on
+the same timestamp and only the tie order decides what happens, with
+arbitrary ones.  After every call the two simulators must agree exactly:
+interval stats, flow counters and in-flight count, compared with ``==``.
+"""
+
+from hypothesis import example, given, settings, strategies as st
+
+from reference_netsim import ReferenceSimulator
+from rlcc.netsim import LinkSpec, SimConfig, Simulator
+
+ROUND_RATES = [500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000,
+               10_000_000, 16_000_000]
+ROUND_DELAYS = [0.0, 0.5, 0.8, 1.0, 2.0, 4.0, 5.0]
+LOSS_PROBS = [0.0, 0.05, 0.2, 0.5, 1.0]
+
+
+def rates():
+    return st.sampled_from(ROUND_RATES) | st.integers(500_000, 16_000_000)
+
+
+def delays():
+    return st.sampled_from(ROUND_DELAYS) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def sim_configs(draw):
+    access = LinkSpec(draw(rates()), draw(delays()))
+    bottleneck = LinkSpec(draw(rates()), draw(delays()),
+                          draw(st.sampled_from(LOSS_PROBS)))
+    # validate_config requires rto_ms > 4x the one-way propagation delay
+    floor_ms = 4 * (2 * access.prop_delay_ms + bottleneck.prop_delay_ms)
+    margin_ms = draw(st.sampled_from([1e-3, 0.5, 4.0, 20.0, 1000.0])
+                     | st.floats(1e-3, 1000.0))
+    return SimConfig(
+        access_link=access, bottleneck_link=bottleneck,
+        segment_bytes=draw(st.sampled_from([40, 500, 1000, 1500])
+                           | st.integers(40, 1500)),
+        queue_capacity_segments=draw(st.integers(1, 250)),
+        rto_ms=floor_ms + margin_ms,
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+calls = st.lists(
+    st.tuples(st.just("cwnd"), st.integers(1, 200))
+    | st.tuples(st.just("advance"),
+                st.sampled_from([1.0, 4.0, 10.0, 100.0, 250.0])
+                | st.floats(1.0, 250.0)),
+    min_size=2, max_size=12)
+
+
+def assert_same_state(new, ref):
+    assert new.counters() == ref.counters()
+    assert new.in_flight == ref.in_flight
+    assert new.now == ref.now
+
+
+# Pinned configs whose ties each need one of the ordering rules.  Here 500-
+# byte segments take 4 ms on the 1 Mbps bottleneck, the access links'
+# propagation delay, so a departure and an arrival at router1 share a
+# timestamp and the instant they were scheduled at; only the older events
+# that led to them decide which comes first.
+DEEP_TIE = SimConfig(access_link=LinkSpec(4_000_000, 4.0),
+                     bottleneck_link=LinkSpec(1_000_000, 1.0),
+                     segment_bytes=500, queue_capacity_segments=1,
+                     seed=140271)
+# A departure at the time of an arrival at router1 that leaves after it ...
+ARRIVAL_FIRST = SimConfig(access_link=LinkSpec(16_000_000, 2.0),
+                          bottleneck_link=LinkSpec(4_000_000, 0.5, 0.05),
+                          segment_bytes=120, queue_capacity_segments=5,
+                          rto_ms=28.0, seed=480595)
+# ... and one that leaves before it.
+DEPARTURE_FIRST = SimConfig(access_link=LinkSpec(16_000_000, 1.0),
+                            bottleneck_link=LinkSpec(4_000_000, 0.5),
+                            segment_bytes=1500, queue_capacity_segments=5,
+                            seed=390463)
+
+# With no propagation delay and a 1 ms RTO, timers, sender-link finishes and
+# ACKs share timestamps; the heap must order them by when they were
+# scheduled, not by when they entered it.
+HEAP_TIE = SimConfig(access_link=LinkSpec(10_000_000, 0.0),
+                     bottleneck_link=LinkSpec(1_000_000, 0.0, 0.5),
+                     segment_bytes=500, queue_capacity_segments=1,
+                     rto_ms=1.0, seed=787615)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=sim_configs(), sequence=calls)
+@example(cfg=DEEP_TIE, sequence=[
+    ("advance", 250.0), ("cwnd", 39), ("advance", 10.0), ("cwnd", 81),
+    ("advance", 250.0), ("cwnd", 134), ("advance", 100.0)])
+@example(cfg=HEAP_TIE, sequence=[("advance", 100.0)])
+@example(cfg=ARRIVAL_FIRST, sequence=[("cwnd", 178), ("advance", 250.0)])
+@example(cfg=DEPARTURE_FIRST, sequence=[
+    ("cwnd", 62), ("advance", 1.0), ("advance", 159.75363272187582)])
+def test_matches_event_per_hop_reference(cfg, sequence):
+    new, ref = Simulator(cfg), ReferenceSimulator(cfg)
+    assert_same_state(new, ref)
+    for op, arg in sequence:
+        if op == "cwnd":
+            new.set_cwnd(arg)
+            ref.set_cwnd(arg)
+        else:
+            assert new.advance(arg) == ref.advance(arg)
+        assert_same_state(new, ref)
