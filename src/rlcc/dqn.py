@@ -7,6 +7,10 @@ with geometric decay, a periodically synced target network, MSE loss on the
 taken action's Q-value, and plain gradient descent.  Gradients are computed
 by hand with reverse-mode accumulation; correctness is pinned by
 finite-difference tests.
+
+The target network is frozen between syncs and a stored next state never
+changes, so the replay ring keeps each row's next-state target maximum and
+evaluates a row again only after a push over it or a sync.
 """
 
 from __future__ import annotations
@@ -40,12 +44,17 @@ class Transition:
 
 class Batch(NamedTuple):
     """Transitions as row arrays, one row each: a sampled batch, or the
-    replay ring's storage."""
+    replay ring's storage.  A batch sampled from a ring also names the ring
+    and the drawn row indices, so td_targets can read the rows' target
+    maxima from the ring; it reads the rows as they are then, so train on
+    a sampled batch before the next push."""
     states: np.ndarray        # [n, INPUT_DIM] float64
     actions: np.ndarray       # [n] int64
     rewards: np.ndarray       # [n] float64
     next_states: np.ndarray   # [n, INPUT_DIM] float64
     done: np.ndarray          # [n] bool
+    ring: "ReplayBuffer | None" = None
+    rows: np.ndarray | None = None   # [n] int64 row indices into ring
 
 
 def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
@@ -85,8 +94,8 @@ class DqnConfig:
             raise ValueError(f"hidden_count must be one of {ALLOWED_HIDDEN_COUNTS}")
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         for name in ("epsilon_start", "epsilon_min"):
@@ -109,7 +118,9 @@ class QNetwork:
     """MLP with parameters stored as (weight [out, in], bias [out]) pairs.
 
     Any positive hidden depth is accepted here; the {2, 4, 8} restriction is
-    a DqnConfig concern.
+    a DqnConfig concern.  `version` counts copy_from calls: a replay ring's
+    target maxima are keyed on it, so a target network's weights change
+    only through copy_from (sync_target).
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
@@ -127,6 +138,7 @@ class QNetwork:
         self.hidden_width = hidden_width
         self.input_dim = input_dim
         self.output_dim = output_dim
+        self.version = 0
 
     @classmethod
     def from_layers(cls, layers) -> "QNetwork":
@@ -141,6 +153,7 @@ class QNetwork:
         net.hidden_width = net.layers[0][0].shape[0] if net.hidden_count else 0
         net.input_dim = net.layers[0][0].shape[1]
         net.output_dim = net.layers[-1][0].shape[0]
+        net.version = 0
         return net
 
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
@@ -171,6 +184,7 @@ class QNetwork:
                 != [(w.shape, b.shape) for w, b in other.layers]:
             raise ValueError("network shapes do not match")
         self.layers = [(w.copy(), b.copy()) for w, b in other.layers]
+        self.version += 1
 
     def clone(self) -> "QNetwork":
         return QNetwork.from_layers(self.layers)
@@ -194,11 +208,25 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
     return max(cfg.epsilon_min, cfg.epsilon_start * cfg.epsilon_decay ** step)
 
 
+def next_state_maxima(target_net: QNetwork,
+                      next_states: np.ndarray) -> np.ndarray:
+    """max_a' Q_target(s', a') per row, from one forward call."""
+    return target_net.forward_batch(next_states).max(axis=1)
+
+
 def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
                gamma: float) -> np.ndarray:
-    """Bellman backups: r, or r + gamma * max_a' Q_target(s', a')."""
+    """Bellman backups: r, or r + gamma * max_a' Q_target(s', a').
+
+    A batch sampled from a ReplayBuffer reads its maxima from the ring's
+    per-row column, evaluating the ring's stale rows first; any other batch
+    is evaluated in one call on its own rows.
+    """
     batch = as_batch(batch)
-    next_max = target_net.forward_batch(batch.next_states).max(axis=1)
+    if batch.ring is None:
+        next_max = next_state_maxima(target_net, batch.next_states)
+    else:
+        next_max = batch.ring.target_maxima(target_net, batch.rows)
     return batch.rewards + gamma * next_max * ~batch.done
 
 
@@ -247,7 +275,13 @@ def train_step(net: QNetwork, target_net: QNetwork,
 class ReplayBuffer:
     """Uniform FIFO replay ring of preallocated row arrays; sampling is
     without replacement.  Push k (counting from 0) writes row k % capacity,
-    so the oldest transition is the one overwritten."""
+    so the oldest transition is the one overwritten.
+
+    Each row also has a cached next-state target maximum and a mark saying
+    whether it is fresh.  A push marks its row stale; a change of target
+    network, of its version (a sync) or of the batch size marks every row
+    stale.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -259,6 +293,9 @@ class ReplayBuffer:
                            np.empty((capacity, INPUT_DIM)),
                            np.empty(capacity, dtype=bool))
         self._pushed = 0
+        self._next_max = np.empty(capacity)
+        self._fresh = np.zeros(capacity, dtype=bool)
+        self._maxima_key = None   # (target net, its version, chunk rows)
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
@@ -275,6 +312,7 @@ class ReplayBuffer:
         rows.rewards[row] = tr.reward
         rows.next_states[row] = tr.next_state
         rows.done[row] = tr.done
+        self._fresh[row] = False
         self._pushed += 1
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
@@ -282,7 +320,37 @@ class ReplayBuffer:
             raise InsufficientDataError(
                 f"buffer holds {len(self)} < {n} transitions")
         idx = rng.choice(len(self), size=n, replace=False)
-        return Batch(*(column[idx] for column in self._rows))
+        rows = self._rows
+        return Batch(rows.states[idx], rows.actions[idx], rows.rewards[idx],
+                     rows.next_states[idx], rows.done[idx], self, idx)
+
+    def target_maxima(self, target_net: QNetwork,
+                      idx: np.ndarray) -> np.ndarray:
+        """Next-state target maxima of rows idx, read from the column.
+
+        When a drawn row is stale, every stale row is evaluated first, so
+        rows pushed since the last evaluation share its calls.  Each call
+        has exactly len(idx) rows, the last one zero-padded, because a BLAS
+        gemm row's bits can depend on the call's row count.  Where they do
+        not also depend on the row's position in the call (OpenBLAS's
+        Haswell dgemm at width 64: 1-4 rows or a multiple of 4, the default
+        32 included), each maximum equals the one a sampled batch evaluates
+        itself; at other sizes the two may differ in their last bits.
+        """
+        chunk = len(idx)
+        key = (target_net, target_net.version, chunk)
+        if key != self._maxima_key:
+            self._fresh[:] = False
+            self._maxima_key = key
+        if not self._fresh[idx].all():
+            stale = np.flatnonzero(~self._fresh[:len(self)])
+            padded = np.zeros((-(-stale.size // chunk) * chunk, INPUT_DIM))
+            padded[:stale.size] = self._rows.next_states[stale]
+            maxima = [next_state_maxima(target_net, padded[i:i + chunk])
+                      for i in range(0, len(padded), chunk)]
+            self._next_max[stale] = np.concatenate(maxima)[:stale.size]
+            self._fresh[stale] = True
+        return self._next_max[idx]
 
 
 class DqnAgent:

@@ -81,9 +81,10 @@ class EnvConfig:
             raise ValueError("need 1 <= cwnd_min <= cwnd_max")
         if self.cwnd_max > self.sim.cwnd_max:
             raise ValueError("cwnd_max exceeds the simulator ceiling")
-        if len(self.normalization_scales) != 6 \
-                or any(s <= 0 for s in self.normalization_scales):
-            raise ValueError("normalization_scales must be six positive reals")
+        if len(self.normalization_scales) != 6 or not all(
+                0 < s < float("inf") for s in self.normalization_scales):
+            raise ValueError(
+                "normalization_scales must be six positive finite reals")
 
 
 def compute_reward(stats: IntervalStats, bottleneck_rate_bps: int) -> float:

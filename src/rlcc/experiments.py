@@ -169,13 +169,16 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 conv_params: ConvergenceParams = ConvergenceParams()):
     """Run one online episode and return (RunRecord, trace rows).
 
-    policy 'dqn' trains online; 'random' takes uniform actions and never
-    trains (the control condition).  A diverged training run is truncated
+    policy 'dqn' trains online; 'random' takes uniform actions and builds
+    no agent (the control condition).  A diverged training run is truncated
     and flagged rather than raised.
     """
+    if policy not in ("dqn", "random"):
+        raise ValueError(f"unknown policy {policy!r}")
     t_start = time.monotonic()
     env = Env(_override_env_cfg(env_cfg, spec.error_rate))
-    agent = DqnAgent(_override_dqn_cfg(dqn_cfg, spec))
+    agent = DqnAgent(_override_dqn_cfg(dqn_cfg, spec)) \
+        if policy == "dqn" else None
     baseline_rng = np.random.default_rng(spec.seed ^ 0x9E3779B9)
 
     obs = env.reset(spec.seed)
@@ -187,7 +190,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
     diverged = False
 
     for _ in range(env_cfg.episode_length):
-        if policy == "random":
+        if agent is None:
             action = int(baseline_rng.integers(3))
             epsilon = None
         else:
@@ -196,7 +199,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         result = env.step(Action(action))
         next_state = normalize(result.observation, env_cfg.normalization_scales)
         loss = None
-        if policy == "dqn":
+        if agent is not None:
             agent.observe(Transition(state, action, result.reward,
                                      next_state, result.done))
             try:

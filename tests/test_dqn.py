@@ -329,7 +329,7 @@ class TestReplayRingMatchesList:
         for n in sizes:
             batch = ring.sample(n, ring_rng)
             expected = reference.sample(n, ref_rng)
-            for got, want in zip(batch, stack_reference(expected)):
+            for got, want in zip(batch[:5], stack_reference(expected)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             loss = train_step(net, target, batch, lr=0.01, gamma=0.95)
@@ -357,6 +357,12 @@ class TestConfigValidation:
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             replace(DqnConfig(), **kw).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_learning_rate(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            replace(DqnConfig(), learning_rate=value).validate()
 
     def test_defaults_valid(self):
         DqnConfig().validate()

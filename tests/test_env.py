@@ -62,6 +62,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Env(replace(EnvConfig(), **kw))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_normalization_scale(self, value):
+        scales = DEFAULT_SCALES[:3] + (value,) + DEFAULT_SCALES[4:]
+        with pytest.raises(ValueError, match="normalization_scales"):
+            replace(EnvConfig(), normalization_scales=scales).validate()
+
 
 class TestEpisode:
     def test_reset_observation(self):

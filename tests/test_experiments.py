@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rlcc.dqn import DqnConfig
+from rlcc.dqn import DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
 from rlcc.experiments import (BASELINE, ConvergenceParams, FactorLevels,
                               InvalidDesignError, RunSpec, convergence_step,
@@ -193,6 +193,19 @@ class TestExecuteRun:
         assert all(row["epsilon"] is None and row["loss"] is None
                    for row in trace)
         assert not record.diverged
+
+    def test_random_policy_builds_no_agent(self, monkeypatch):
+        def refuse(self, cfg):
+            raise AssertionError("random policy built a DqnAgent")
+
+        monkeypatch.setattr(DqnAgent, "__init__", refuse)
+        _, trace = execute_run(self.make_spec(), FAST_ENV, FAST_DQN,
+                               policy="random")
+        assert len(trace) == FAST_ENV.episode_length
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="policy"):
+            execute_run(self.make_spec(), FAST_ENV, FAST_DQN, policy="greedy")
 
     def test_error_rate_reaches_simulator(self):
         clean, _ = execute_run(self.make_spec(), FAST_ENV, FAST_DQN,
