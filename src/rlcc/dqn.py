@@ -6,7 +6,9 @@ Training is online TD(0): uniform replay ring, epsilon-greedy exploration
 with geometric decay, a periodically synced target network, MSE loss on the
 taken action's Q-value, and plain gradient descent.  Gradients are computed
 by hand with reverse-mode accumulation; correctness is pinned by
-finite-difference tests.
+finite-difference tests.  A network's parameters are one flat vector, so an
+update or a target sync is one vector operation, and its passes write into
+buffers it keeps per row count (see QNetwork for how long results live).
 
 The target network is frozen between syncs and a stored next state never
 changes, so the replay ring keeps each row's next-state target maximum and
@@ -57,19 +59,31 @@ class Batch(NamedTuple):
     rows: np.ndarray | None = None   # [n] int64 row indices into ring
 
 
+def check_actions(actions) -> None:
+    """Reject action indices outside 0..OUTPUT_DIM-1: the flat gather of the
+    taken actions' Q-values would read a neighbouring row's."""
+    actions = np.asarray(actions)
+    if actions.size and not 0 <= actions.min() <= actions.max() < OUTPUT_DIM:
+        raise ValueError(f"actions must be in 0..{OUTPUT_DIM - 1}")
+
+
 def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
-    """A Batch as is, or a sequence of Transitions stacked into one."""
-    if isinstance(batch, Batch):
-        if len(batch.rewards) == 0:
+    """A Batch as is, or a sequence of Transitions stacked into one.  A
+    batch not sampled from a ring has its actions checked here; a ring
+    checks each action at push."""
+    if not isinstance(batch, Batch):
+        if not batch:
             raise ValueError("batch must be non-empty")
-        return batch
-    if not batch:
+        batch = Batch(np.stack([t.state for t in batch]),
+                      np.array([t.action_index for t in batch]),
+                      np.array([t.reward for t in batch]),
+                      np.stack([t.next_state for t in batch]),
+                      np.array([t.done for t in batch]))
+    if len(batch.rewards) == 0:
         raise ValueError("batch must be non-empty")
-    return Batch(np.stack([t.state for t in batch]),
-                 np.array([t.action_index for t in batch]),
-                 np.array([t.reward for t in batch]),
-                 np.stack([t.next_state for t in batch]),
-                 np.array([t.done for t in batch]))
+    if batch.ring is None:
+        check_actions(batch.actions)
+    return batch
 
 
 @dataclass(frozen=True)
@@ -115,75 +129,98 @@ class DqnConfig:
 
 
 class QNetwork:
-    """MLP with parameters stored as (weight [out, in], bias [out]) pairs.
+    """MLP with every weight and bias in one float64 vector `theta`, and
+    `layers` its (weight [out, in], bias [out]) views; `grad`, laid out the
+    same, takes train_step's gradient.  Passes run on buffers kept per row
+    count (a run uses 1 and the batch size): the list `activations` returns
+    is valid only until the next call on this network at that row count.
 
-    Any positive hidden depth is accepted here; the {2, 4, 8} restriction is
-    a DqnConfig concern.  `version` counts copy_from calls: a replay ring's
+    Any hidden depth is accepted here; the {2, 4, 8} restriction is a
+    DqnConfig concern.  `version` counts copy_from calls: a replay ring's
     target maxima are keyed on it, so a target network's weights change
     only through copy_from (sync_target).
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
-                 rng: np.random.Generator,
-                 input_dim: int = INPUT_DIM, output_dim: int = OUTPUT_DIM):
-        sizes = [input_dim] + [hidden_width] * hidden_count + [output_dim]
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            # Glorot-uniform weights, zero biases.
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            b = np.zeros(fan_out)
-            self.layers.append((w, b))
-        self.hidden_count = hidden_count
-        self.hidden_width = hidden_width
-        self.input_dim = input_dim
-        self.output_dim = output_dim
+                 rng: np.random.Generator | None):
+        self.sizes = (INPUT_DIM,) + (hidden_width,) * hidden_count \
+            + (OUTPUT_DIM,)
+        self.theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                  in zip(self.sizes, self.sizes[1:])))
+        self.grad = np.empty_like(self.theta)
+        self.layers = self._views(self.theta)
+        self._grad_layers = self._views(self.grad)
+        self._work: dict[int, dict] = {}
         self.version = 0
+        for w, _ in self.layers if rng is not None else ():
+            # Glorot-uniform weights, zero biases (all zeros without rng).
+            fan_out, fan_in = w.shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+
+    def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into a vector laid out like theta."""
+        views, at = [], 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            end = at + fan_out * fan_in
+            views.append((flat[at:end].reshape(fan_out, fan_in),
+                          flat[end:end + fan_out]))
+            at = end + fan_out
+        return views
 
     @classmethod
     def from_layers(cls, layers) -> "QNetwork":
-        """Build directly from (weight, bias) pairs; shapes must chain."""
-        net = cls.__new__(cls)
-        net.layers = [(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64))
-                      for w, b in layers]
-        for (w, b), (w_next, _) in zip(net.layers, net.layers[1:]):
-            if w.shape[0] != b.shape[0] or w_next.shape[1] != w.shape[0]:
-                raise ValueError("layer shapes do not chain")
-        net.hidden_count = len(net.layers) - 1
-        net.hidden_width = net.layers[0][0].shape[0] if net.hidden_count else 0
-        net.input_dim = net.layers[0][0].shape[1]
-        net.output_dim = net.layers[-1][0].shape[0]
-        net.version = 0
+        """A network holding copies of (weight [out, in], bias [out]) pairs,
+        every hidden layer of one width; every shape must chain."""
+        layers = [(np.asarray(w, dtype=np.float64),
+                   np.asarray(b, dtype=np.float64)) for w, b in layers]
+        if not layers or any(w.ndim != 2 for w, _ in layers):
+            raise ValueError("need at least one layer, each weight 2-D")
+        net = cls(len(layers) - 1, layers[0][0].shape[0], None)
+        for (w, b), (view_w, view_b) in zip(layers, net.layers):
+            if w.shape != view_w.shape or b.shape != view_b.shape:
+                raise ValueError("layer shapes must chain, one hidden width")
+            view_w[...] = w
+            view_b[...] = b
         return net
 
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """The input batch and every layer's output; the last entry is the
-        Q-values, shape (n, output_dim)."""
+        Q-values, shape (n, output width)."""
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if a.shape[1] != self.input_dim:
+        if a.shape[1] != INPUT_DIM:
             raise ValueError(
-                f"expected input dim {self.input_dim}, got {a.shape[1]}")
-        acts = [a]
+                f"expected input dim {INPUT_DIM}, got {a.shape[1]}")
+        n = a.shape[0]
+        if n not in self._work:   # this network's buffers for n rows
+            self._work[n] = dict(
+                acts=[None] + [np.empty((n, k)) for k in self.sizes[1:]],
+                deltas=[np.empty((n, k)) for k in self.sizes[1:]],
+                masks=[np.empty((n, k), dtype=bool) for k in self.sizes[1:-1]],
+                row_starts=np.arange(n) * OUTPUT_DIM,   # flat index of Q[i, 0]
+                taken=np.empty(n, dtype=np.int64))
+        acts = self._work[n]["acts"]
+        acts[0] = a
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            a = a @ w.T + b
+            a = np.matmul(a, w.T, out=acts[i + 1])
+            a += b
             if i < last:
-                a = np.maximum(a, 0.0)
-            acts.append(a)
+                np.maximum(a, 0.0, out=a)
         return acts
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch of states, shape (n, output_dim)."""
-        return self.activations(x)[-1]
+        """Q-values for a batch of states, shape (n, output width); a copy,
+        as is forward's row."""
+        return self.activations(x)[-1].copy()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_batch(x)[0]
+        return self.activations(x)[-1][0].copy()
 
     def copy_from(self, other: "QNetwork") -> None:
-        if [(w.shape, b.shape) for w, b in self.layers] \
-                != [(w.shape, b.shape) for w, b in other.layers]:
+        if other.sizes != self.sizes:
             raise ValueError("network shapes do not match")
-        self.layers = [(w.copy(), b.copy()) for w, b in other.layers]
+        self.theta[:] = other.theta
         self.version += 1
 
     def clone(self) -> "QNetwork":
@@ -211,7 +248,7 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
 def next_state_maxima(target_net: QNetwork,
                       next_states: np.ndarray) -> np.ndarray:
     """max_a' Q_target(s', a') per row, from one forward call."""
-    return target_net.forward_batch(next_states).max(axis=1)
+    return target_net.activations(next_states)[-1].max(axis=1)
 
 
 def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
@@ -231,29 +268,38 @@ def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
 
 
 def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
-                   targets: np.ndarray):
+                   targets: np.ndarray, in_place: bool = False):
     """MSE loss on the taken actions' Q-values and its analytic gradient.
 
     Only the taken action's output contributes to each sample's gradient.
-    Returns (loss, grads) with grads shaped like net.layers.
+    Returns (loss, grads), grads being (weight, bias) views like net.layers
+    into a fresh vector laid out like net.theta.  in_place writes net.grad
+    instead, which later calls overwrite; only train_step passes it, with
+    actions its batch has checked.
     """
-    n = states.shape[0]
-    last = len(net.layers) - 1
-    activations = net.activations(states)
-    q = activations[-1]
-    idx = np.arange(n)
-    err = q[idx, actions] - targets
-    loss = float(np.mean(err ** 2))
+    if in_place:
+        grads = net._grad_layers
+    else:
+        check_actions(actions)
+        grads = net._views(np.empty_like(net.theta))
+    acts = net.activations(states)
+    n = acts[0].shape[0]
+    work = net._work[n]
+    taken = np.add(work["row_starts"], actions, out=work["taken"])
+    err = acts[-1].take(taken) - targets
+    loss = float((err * err).sum() / n)   # np.mean(err ** 2), bit for bit
 
-    d_out = np.zeros_like(q)
-    d_out[idx, actions] = 2.0 * err / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    for i in range(last, -1, -1):
-        w, _ = net.layers[i]
-        a_prev = activations[i]
-        grads[i] = (d_out.T @ a_prev, d_out.sum(axis=0))
+    d_out = work["deltas"][-1]
+    d_out.fill(0.0)
+    np.put(d_out, taken, 2.0 * err / n)
+    for i in range(len(net.layers) - 1, -1, -1):
+        dw, db = grads[i]
+        np.matmul(d_out.T, acts[i], out=dw)
+        d_out.sum(axis=0, out=db)
         if i > 0:
-            d_out = (d_out @ w) * (activations[i] > 0.0)
+            d_out = np.matmul(d_out, net.layers[i][0],
+                              out=work["deltas"][i - 1])
+            d_out *= np.greater(acts[i], 0.0, out=work["masks"][i - 1])
     return loss, grads
 
 
@@ -263,12 +309,12 @@ def train_step(net: QNetwork, target_net: QNetwork,
     """One TD(0) gradient-descent update in place; returns the batch loss."""
     batch = as_batch(batch)
     targets = td_targets(batch, target_net, gamma)
-    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
+    loss, _ = loss_and_grads(net, batch.states, batch.actions, targets,
+                             in_place=True)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
-    for (w, b), (dw, db) in zip(net.layers, grads):
-        w -= lr * dw
-        b -= lr * db
+    net.grad *= lr
+    net.theta -= net.grad
     return loss
 
 
@@ -305,6 +351,8 @@ class ReplayBuffer:
         if np.shape(tr.state) != (INPUT_DIM,) \
                 or np.shape(tr.next_state) != (INPUT_DIM,):
             raise ValueError(f"states must have shape ({INPUT_DIM},)")
+        if not 0 <= tr.action_index < OUTPUT_DIM:
+            raise ValueError(f"action_index must be in 0..{OUTPUT_DIM - 1}")
         row = self._pushed % self.capacity
         rows = self._rows
         rows.states[row] = tr.state
@@ -331,11 +379,14 @@ class ReplayBuffer:
         When a drawn row is stale, every stale row is evaluated first, so
         rows pushed since the last evaluation share its calls.  Each call
         has exactly len(idx) rows, the last one zero-padded, because a BLAS
-        gemm row's bits can depend on the call's row count.  Where they do
-        not also depend on the row's position in the call (OpenBLAS's
-        Haswell dgemm at width 64: 1-4 rows or a multiple of 4, the default
-        32 included), each maximum equals the one a sampled batch evaluates
-        itself; at other sizes the two may differ in their last bits.
+        gemm row's bits can depend on the call's row count: on OpenBLAS's
+        Haswell dgemm at width 64, a row in a k-row call matched the same
+        row in a 32-row call only for k = 20, 24, 28 and 32, so less padding
+        would change training's last bits.  Where a row's bits do not also
+        depend on its position in the call (there: 1-4 rows or a multiple
+        of 4, the default 32 included), each maximum equals the one a
+        sampled batch evaluates itself; at other sizes the two may differ in
+        their last bits.
         """
         chunk = len(idx)
         key = (target_net, target_net.version, chunk)
@@ -374,7 +425,7 @@ class DqnAgent:
     def select_action(self, state: np.ndarray) -> int:
         self.last_epsilon = epsilon_at(self.cfg, self.env_steps)
         self.env_steps += 1
-        q = self.net.forward(state)
+        q = self.net.activations(state)[-1][0]
         return act_epsilon_greedy(q, self.last_epsilon, self.rng)
 
     def observe(self, tr: Transition) -> None:

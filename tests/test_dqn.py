@@ -83,8 +83,70 @@ class TestQNetwork:
     def test_clone_is_value_copy(self):
         net = small_net()
         copy = net.clone()
+        assert not np.shares_memory(copy.theta, net.theta)
         net.layers[0][0][0, 0] += 1.0
         assert copy.layers[0][0][0, 0] != net.layers[0][0][0, 0]
+
+    def test_copy_from_is_value_copy(self):
+        net, copy = small_net(seed=1), small_net(seed=2)
+        copy.copy_from(net)
+        assert copy.version == 1
+        assert not np.shares_memory(copy.theta, net.theta)
+        assert np.array_equal(copy.theta, net.theta)
+        net.layers[-1][1][0] += 1.0
+        assert copy.layers[-1][1][0] != net.layers[-1][1][0]
+
+    @pytest.mark.parametrize("other", [small_net(width=9),
+                                       small_net(hidden_count=4)])
+    def test_copy_from_rejects_other_shape(self, other):
+        net = small_net()
+        with pytest.raises(ValueError, match="shapes"):
+            net.copy_from(other)
+        assert net.version == 0
+
+    def test_layers_view_theta(self):
+        net = small_net(width=5)
+        w, b = net.layers[1]
+        w[0, 0], b[-1] = 7.0, 8.0
+        assert net.theta[6 * 5 + 5] == 7.0
+        assert net.theta[6 * 5 + 5 + 5 * 5 + 4] == 8.0
+        assert net.theta.size == sum(w.size + b.size for w, b in net.layers)
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_forward_results_survive_later_calls(self, rows):
+        net = small_net()
+        rng = np.random.default_rng(5)
+        x, later = rng.normal(size=(2, rows, 6))
+        q, q0 = net.forward_batch(x), net.forward(x)
+        want, want0 = q.copy(), q0.copy()
+        net.forward_batch(later)
+        net.forward(later)
+        assert np.array_equal(q, want) and np.array_equal(q0, want0)
+
+    def test_gradients_survive_later_calls(self):
+        net = small_net()
+        rng = np.random.default_rng(6)
+        states = rng.normal(size=(2, 5, 6))
+        actions = rng.integers(3, size=(2, 5))
+        targets = rng.normal(size=(2, 5))
+        _, grads = loss_and_grads(net, states[0], actions[0], targets[0])
+        want = [(w.copy(), b.copy()) for w, b in grads]
+        loss_and_grads(net, states[1], actions[1], targets[1])
+        train_step(net, net.clone(), random_batch(rng, n=5), 0.01, 0.95)
+        for (w, b), (want_w, want_b) in zip(grads, want):
+            assert np.array_equal(w, want_w) and np.array_equal(b, want_b)
+
+    @pytest.mark.parametrize("layers", [
+        [],
+        # the last bias has 1 entry for 3 outputs
+        [(np.ones((4, 6)), np.zeros(4)), (np.ones((3, 4)), np.zeros(1))],
+        [(np.ones((4, 6)), np.zeros(5)), (np.ones((3, 4)), np.zeros(3))],
+        [(np.ones((4, 6)), np.zeros(4)), (np.ones((3, 5)), np.zeros(3))],
+        [(np.ones(6), np.zeros(1))],
+    ])
+    def test_from_layers_rejects_bad_shapes(self, layers):
+        with pytest.raises(ValueError):
+            QNetwork.from_layers(layers)
 
 
 class TestEpsilon:
@@ -129,6 +191,19 @@ class TestTdTargets:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             td_targets([], small_net(), 0.95)
+
+    @pytest.mark.parametrize("action", [-1, 3, 5])
+    def test_caller_batch_action_out_of_range_rejected(self, action):
+        trs = random_batch(np.random.default_rng(4), n=3)
+        trs[1] = Transition(np.zeros(6), action, 0.0, np.zeros(6), False)
+        net = small_net()
+        stacked = stack_reference(trs)
+        for batch in (trs, stacked):
+            with pytest.raises(ValueError, match="actions"):
+                train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
+        with pytest.raises(ValueError, match="actions"):
+            loss_and_grads(net, stacked.states, stacked.actions,
+                           stacked.rewards)
 
 
 class TestGradients:
@@ -241,6 +316,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4)
         with pytest.raises(ValueError, match="shape"):
             buf.push(Transition(state, 0, 0.0, next_state, False))
+        assert len(buf) == 0
+
+    @pytest.mark.parametrize("action", [-1, 3, 5])
+    def test_rejects_action_out_of_range(self, action):
+        buf = ReplayBuffer(4)
+        with pytest.raises(ValueError, match="action"):
+            buf.push(Transition(np.zeros(6), action, 0.0, np.zeros(6), False))
         assert len(buf) == 0
 
     def test_sampling_is_uniform(self):

@@ -1,5 +1,9 @@
-"""Differential test: the replay ring's cached target maxima against the
-TD-target chain that evaluated the target network on every sampled batch.
+"""Differential tests of the learner against the code it replaced.
+
+The replay ring's cached target maxima are checked against the TD-target
+chain that evaluated the target network on every sampled batch, and the
+flat-parameter QNetwork and train_step against the per-layer learner kept
+in ``tests/reference_dqn.py``.
 
 `ReferenceAgent` is DqnAgent with the old learn step: each update runs the
 frozen target network on the batch's own next states.  Both agents are
@@ -20,10 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_dqn
 from rlcc import cli, dqn
 from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig, QNetwork,
-                      Transition, TrainingDivergedError, loss_and_grads,
-                      sync_target)
+                      ReplayBuffer, Transition, TrainingDivergedError,
+                      loss_and_grads, sync_target)
 from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
 
 
@@ -159,3 +164,78 @@ def test_target_forwards_are_inside_td_targets_and_few(monkeypatch):
     assert updates > 0 and target_forwards
     assert all(target_forwards)
     assert len(target_forwards) <= updates / 3
+
+
+def reference_theta(net):
+    return np.concatenate([np.concatenate([w.ravel(), b])
+                           for w, b in net.layers])
+
+
+def assert_same(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 8), width=st.sampled_from([1, 7, 64]),
+       batch_size=st.integers(1, 40), capacity_extra=st.integers(0, 30),
+       pushes=st.integers(1, 60), sync_every=st.integers(1, 12),
+       lr=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
+# the default network and batch; the ring wraps and the target syncs often
+@example(depth=2, width=64, batch_size=32, capacity_extra=8, pushes=60,
+         sync_every=3, lr=0.01, seed=1)
+@example(depth=8, width=64, batch_size=32, capacity_extra=0, pushes=50,
+         sync_every=5, lr=0.001, seed=2)
+# a narrow net at an odd batch size
+@example(depth=3, width=7, batch_size=5, capacity_extra=3, pushes=40,
+         sync_every=4, lr=0.02, seed=3)
+def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
+                                                  capacity_extra, pushes,
+                                                  sync_every, lr, seed):
+    """Both learners take the same updates and syncs from two rings fed the
+    same pushes and sampled with the same seed.  A gradient an outside
+    caller gets from loss_and_grads is held across each update.  Losses,
+    held gradients, Q-values and weights must be bitwise equal where the
+    batch size is position-stable, else agree to 1e-9 relative."""
+    net = QNetwork(depth, width, np.random.default_rng(seed))
+    ref = reference_dqn.QNetwork(depth, width, np.random.default_rng(seed))
+    assert np.array_equal(net.theta, reference_theta(ref))
+    target, ref_target = net.clone(), ref.clone()
+    capacity = batch_size + capacity_extra
+    ring, ref_ring = ReplayBuffer(capacity), ReplayBuffer(capacity)
+    rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    exact = rows_independent_of_position(net, batch_size)
+    source = np.random.default_rng(seed)
+    probe = source.normal(size=(batch_size, 6))
+    updates = 0
+    for _ in range(pushes):
+        tr = Transition(source.normal(size=6), int(source.integers(3)),
+                        float(source.normal()), source.normal(size=6),
+                        bool(source.random() < 0.2))
+        ring.push(tr)
+        ref_ring.push(tr)
+        if len(ring) < batch_size:
+            continue
+        batch = ring.sample(batch_size, rng)
+        ref_batch = ref_ring.sample(batch_size, ref_rng)
+        held = loss_and_grads(net, batch.states, batch.actions, batch.rewards)
+        ref_held = reference_dqn.loss_and_grads(
+            ref, ref_batch.states, ref_batch.actions, ref_batch.rewards)
+        loss = dqn.train_step(net, target, batch, lr, 0.95)
+        ref_loss = reference_dqn.train_step(ref, ref_target, ref_batch, lr,
+                                            0.95)
+        assert_same(loss, ref_loss, exact)
+        assert_same(held[0], ref_held[0], exact)
+        for got, want in zip(held[1], ref_held[1]):
+            assert_same(got[0], want[0], exact)
+            assert_same(got[1], want[1], exact)
+        updates += 1
+        if updates % sync_every == 0:
+            sync_target(net, target)
+            ref_target.copy_from(ref)
+        assert_same(net.forward_batch(probe), ref.forward_batch(probe), exact)
+    assert target.version == ref_target.version
+    assert_same(net.theta, reference_theta(ref), exact)
+    assert_same(target.theta, reference_theta(ref_target), exact)
