@@ -8,10 +8,9 @@ from .env import (Action, EnvConfig, Env, Observation, StepResult,
                   compute_reward, normalize, EpisodeDoneError)
 from .dqn import (Batch, DqnAgent, DqnConfig, QNetwork, ReplayBuffer,
                   Transition, act_epsilon_greedy, td_targets, train_step,
-                  sync_target, TrainingDivergedError)
-from .experiments import (FactorLevels, RunSpec, RunRecord, ConvergenceParams,
-                          enumerate_runs, execute_run, convergence_step,
-                          derive_seed)
+                  TrainingDivergedError)
+from .experiments import (FactorLevels, RunSpec, RunRecord, enumerate_runs,
+                          execute_run, convergence_step, derive_seed)
 from .stats import (RegressionRow, code_level, ols_fit,
                     student_t_two_sided_p, make_interaction_design,
                     render_table)

@@ -55,9 +55,7 @@ REGRESSION_HEADER = ["term", "influence", "coefficient", "std_error",
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+    """Invalid input: run() prints it as an error line and exits 2."""
 
 
 # -- configuration -----------------------------------------------------------
@@ -336,7 +334,8 @@ def cmd_grid(args) -> int:
 def _parse_runs_csv(path: str) -> list[dict]:
     try:
         with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
+            # a short row's missing cells read as "", which no cell check accepts
+            return list(csv.DictReader(fh, restval=""))
     except OSError as exc:
         raise CliError(f"cannot read runs file: {exc}") from exc
 
@@ -348,22 +347,30 @@ def cmd_analyze(args) -> int:
     rows = _parse_runs_csv(args.runs)
     if not rows:
         raise CliError(f"{args.runs} contains no runs")
-    for name in factor_names:
-        if name not in rows[0]:
-            raise CliError(f"factor column {name!r} missing from {args.runs}")
-    if args.response not in rows[0]:
-        raise CliError(f"response column {args.response!r} missing from {args.runs}")
+    for column in (*factor_names, args.response, "diverged"):
+        if column not in rows[0]:
+            raise CliError(f"column {column!r} missing from {args.runs}")
+    kept = []
+    for i, r in enumerate(rows, 1):
+        if r["diverged"] not in ("true", "false"):
+            raise CliError(f"{args.runs} row {i}: diverged: "
+                           f"{r['diverged']!r} is not true or false")
+        if r["diverged"] == "false":
+            kept.append((i, r))
 
-    rows = [r for r in rows if r["diverged"] != "true"]
+    def cells(column):
+        return [_parse(f"{args.runs} row {i}: {column}", finite_float,
+                       r[column]) for i, r in kept]
+
     try:
-        coded = {name: [stats.code_level(name, float(r[name])) for r in rows]
+        coded = {name: [stats.code_level(name, v) for v in cells(name)]
                  for name in factor_names}
     except stats.InvalidLevelError as exc:
         raise CliError(str(exc))
     for name in factor_names:
         if len(set(coded[name])) < 2:
             raise CliError(f"factor {name!r} needs at least two levels in the data")
-    y = [float(r[args.response]) for r in rows]
+    y = cells(args.response)
     X, names = stats.make_interaction_design(
         coded[factor_names[0]], coded[factor_names[1]],
         factor_names[0], factor_names[1])
@@ -444,7 +451,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_INVALID
 
 
 def main() -> None:

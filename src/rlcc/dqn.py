@@ -138,7 +138,7 @@ class QNetwork:
     Any hidden depth is accepted here; the {2, 4, 8} restriction is a
     DqnConfig concern.  `version` counts copy_from calls: a replay ring's
     target maxima are keyed on it, so a target network's weights change
-    only through copy_from (sync_target).
+    only through copy_from.
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
@@ -225,11 +225,6 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return QNetwork.from_layers(self.layers)
-
-
-def sync_target(net: QNetwork, target_net: QNetwork) -> None:
-    """Make the target a value copy of the online network."""
-    target_net.copy_from(net)
 
 
 def act_epsilon_greedy(q: np.ndarray, epsilon: float,
@@ -440,5 +435,5 @@ class DqnAgent:
                           self.cfg.learning_rate, self.cfg.gamma)
         self.train_steps += 1
         if self.train_steps % self.cfg.target_sync_every == 0:
-            sync_target(self.net, self.target_net)
+            self.target_net.copy_from(self.net)
         return loss

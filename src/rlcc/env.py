@@ -109,11 +109,6 @@ class Env:
         self._done = True
         self._last_stats: IntervalStats | None = None
 
-    @property
-    def cwnd(self) -> int:
-        assert self._sim is not None
-        return self._sim.cwnd
-
     def reset(self, seed: int) -> Observation:
         self._sim = Simulator(replace(self.cfg.sim, seed=seed))
         if self.cfg.cwnd_min != 1:

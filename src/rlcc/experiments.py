@@ -62,16 +62,10 @@ class RunRecord:
     wall_time_ms: int
 
 
-@dataclass(frozen=True)
-class ConvergenceParams:
-    window: int = 20
-    tolerance_frac: float = 0.10
-
-    def validate(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < self.tolerance_frac < 1.0:
-            raise ValueError("tolerance_frac must be in (0, 1)")
+#: Plateau detector: moving-average window (steps) and band half-width
+#: as a fraction of the plateau.
+CONVERGENCE_WINDOW = 20
+CONVERGENCE_TOLERANCE = 0.10
 
 
 def derive_seed(base_seed: int, layers: int, learning_rate: float,
@@ -123,26 +117,26 @@ def enumerate_runs(factors: FactorLevels, design: str = "full",
     return specs
 
 
-def convergence_step(cwnd_series, params: ConvergenceParams = ConvergenceParams()):
+def convergence_step(cwnd_series):
     """First step at which the cwnd moving average has permanently entered
     the tolerance band around its final plateau.
 
-    Windows cover [s, s+w); the plateau P is the final window's mean; a
-    window is in band when |mean - P| <= tolerance_frac * P.  The answer is
+    Windows cover [s, s+w) with w = CONVERGENCE_WINDOW; the plateau P is
+    the final window's mean; a window is in band when
+    |mean - P| <= CONVERGENCE_TOLERANCE * P.  The answer is
     the exclusive end index of the last out-of-band window plus one (0 when
     every window is in band).  If that lands within the final window span,
     the plateau was never held for a full window and None is returned.
     """
-    params.validate()
     series = np.asarray(cwnd_series, dtype=np.float64)
     n = series.size
-    w = params.window
+    w = CONVERGENCE_WINDOW
     if n < 2 * w:
         raise ValueError(f"series length {n} < 2 * window {w}")
     cumsum = np.concatenate([[0.0], np.cumsum(series)])
     means = (cumsum[w:] - cumsum[:-w]) / w      # means[s] for s in [0, n-w]
     plateau = means[-1]
-    in_band = np.abs(means - plateau) <= params.tolerance_frac * abs(plateau)
+    in_band = np.abs(means - plateau) <= CONVERGENCE_TOLERANCE * abs(plateau)
     bad = np.flatnonzero(~in_band)
     if bad.size == 0:
         return 0
@@ -165,8 +159,7 @@ def _override_dqn_cfg(dqn_cfg: DqnConfig, spec: RunSpec) -> DqnConfig:
 
 
 def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
-                policy: str = "dqn",
-                conv_params: ConvergenceParams = ConvergenceParams()):
+                policy: str = "dqn"):
     """Run one online episode and return (RunRecord, trace rows).
 
     policy 'dqn' trains online; 'random' takes uniform actions and builds
@@ -184,9 +177,6 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
     obs = env.reset(spec.seed)
     state = normalize(obs, env_cfg.normalization_scales)
     trace: list[dict] = []
-    rewards: list[float] = []
-    throughputs: list[float] = []
-    cwnds: list[int] = []
     diverged = False
 
     for _ in range(env_cfg.episode_length):
@@ -209,9 +199,6 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 diverged = True
         state = next_state
         obs = result.observation
-        rewards.append(result.reward)
-        throughputs.append(obs.throughput_Bps)
-        cwnds.append(obs.cwnd_segments)
         trace.append({
             "run_id": spec.run_id,
             "step": result.step_index,
@@ -225,16 +212,18 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         if diverged:
             break
 
+    cwnds = [row["cwnd"] for row in trace]
+    throughputs = [row["throughput_Bps"] for row in trace]
     conv = None
-    if not diverged and len(cwnds) >= 2 * conv_params.window:
-        conv = convergence_step(cwnds, conv_params)
+    if not diverged and len(cwnds) >= 2 * CONVERGENCE_WINDOW:
+        conv = convergence_step(cwnds)
     record = RunRecord(
         spec=spec,
-        avg_throughput_Bps=float(mean(throughputs)) if throughputs else 0.0,
-        max_throughput_Bps=float(max(throughputs)) if throughputs else 0.0,
+        avg_throughput_Bps=float(mean(throughputs)),
+        max_throughput_Bps=float(max(throughputs)),
         convergence_step=conv,
-        cumulative_reward=float(sum(rewards)),
-        final_cwnd=cwnds[-1] if cwnds else env_cfg.cwnd_min,
+        cumulative_reward=float(sum(row["reward"] for row in trace)),
+        final_cwnd=cwnds[-1],
         diverged=diverged,
         wall_time_ms=int((time.monotonic() - t_start) * 1000),
     )

@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .experiments import FactorLevels
+
+#: A residual sum of squares at most this fraction of ||y||^2 (or of 1) is
+#: a perfect fit.
+PERFECT_FIT_RTOL = 1e-12
 
 
 class InvalidLevelError(ValueError):
@@ -65,10 +68,15 @@ class RegressionRow:
 
 def student_t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for T ~ Student-t with df degrees of freedom."""
+    # imported here: only analyze needs scipy, so other commands start faster
+    from scipy.special import betainc
+
     if df < 1:
         raise ValueError("df must be >= 1")
     t = float(t)
-    if not np.isfinite(t):
+    if np.isnan(t):
+        raise ValueError("t is nan")
+    if np.isinf(t):
         return 0.0
     x = df / (df + t * t)
     return float(betainc(df / 2.0, 0.5, x))
@@ -85,12 +93,12 @@ def make_interaction_design(coded_a: np.ndarray, coded_b: np.ndarray,
     return X, names
 
 
-def ols_fit(X: np.ndarray, names: list[str], y: np.ndarray,
-            perfect_fit_rtol: float = 1e-12) -> list[RegressionRow]:
+def ols_fit(X: np.ndarray, names: list[str],
+            y: np.ndarray) -> list[RegressionRow]:
     """Least-squares fit with coefficient/SE/t/p per term.
 
     Terms other than the first (intercept) also report influence = 2 * beta.
-    A residual sum of squares that vanishes relative to ||y||^2 is flagged
+    A residual sum of squares within PERFECT_FIT_RTOL of ||y||^2 is flagged
     as a perfect fit: SE 0, t and p undefined.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -115,7 +123,7 @@ def ols_fit(X: np.ndarray, names: list[str], y: np.ndarray,
     r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
 
-    perfect = rss <= perfect_fit_rtol * max(float(y @ y), 1.0)
+    perfect = rss <= PERFECT_FIT_RTOL * max(float(y @ y), 1.0)
     s2 = 0.0 if perfect else rss / df
     rows = []
     for j, name in enumerate(names):

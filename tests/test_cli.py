@@ -1,9 +1,13 @@
 import csv
+import itertools
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 
+import rlcc
 from rlcc import cli
 from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
                       STEPS_HEADER, CliError, build_configs, parse_config_file,
@@ -21,6 +25,52 @@ def run_cli(*argv):
 
 FAST = ["--override", "env.episode_length=40",
         "--override", "dqn.train_updates_per_step=1"]
+
+
+def write_runs_csv(path, edit=None):
+    """A well-formed 12-run runs.csv; `edit` may alter its rows of cells
+    (header first) before they are written."""
+    table = [list(RUNS_HEADER)]
+    for i, (layers, error_rate, rep) in enumerate(
+            itertools.product((2, 4, 8), (0.0, 0.2), (0, 1))):
+        row = dict.fromkeys(RUNS_HEADER, "1")
+        row.update(layers=str(layers), learning_rate="0.01",
+                   error_rate=repr(error_rate), rep=str(rep),
+                   avg_throughput_Bps=repr(1e4 + 10 * layers
+                                           - 500 * error_rate + i),
+                   convergence_step="", diverged="false")
+        table.append([row[col] for col in RUNS_HEADER])
+    if edit is not None:
+        edit(table)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+
+
+def set_cell(column, value):
+    def edit(table):
+        table[3][RUNS_HEADER.index(column)] = value
+    return edit
+
+
+def drop_diverged_column(table):
+    for row in table:
+        del row[RUNS_HEADER.index("diverged")]
+
+
+def truncate_row(table):
+    del table[3][RUNS_HEADER.index("error_rate") + 1:]
+
+
+MALFORMED_RUNS = {
+    "non-numeric factor": set_cell("layers", "two"),
+    "non-numeric response": set_cell("avg_throughput_Bps", "fast"),
+    "empty response": set_cell("avg_throughput_Bps", ""),
+    "nan response": set_cell("avg_throughput_Bps", "nan"),
+    "inf response": set_cell("avg_throughput_Bps", "-inf"),
+    "unknown diverged flag": set_cell("diverged", "yes"),
+    "no diverged column": drop_diverged_column,
+    "short row": truncate_row,
+}
 
 
 def flat_config(sim_cfg, env_cfg, dqn_cfg) -> dict:
@@ -378,3 +428,33 @@ class TestAnalyze:
         assert run_cli("analyze", "--runs", str(runs_csv),
                        "--factors", "error_rate",
                        "--out-dir", str(tmp_path)) == 2
+
+    def test_handwritten_runs_csv_fits(self, tmp_path, capsys):
+        write_runs_csv(tmp_path / "runs.csv")
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / "regression.csv").exists()
+
+    @pytest.mark.parametrize("edit", MALFORMED_RUNS.values(),
+                             ids=MALFORMED_RUNS.keys())
+    def test_malformed_runs_csv_exits_2(self, tmp_path, capsys, edit):
+        write_runs_csv(tmp_path / "runs.csv", edit)
+        out_dir = tmp_path / "out"
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not (out_dir / "regression.csv").exists()
+
+
+def test_importing_cli_leaves_scipy_unloaded():
+    # scipy serves only analyze's p-values; other commands should not pay
+    # for loading it
+    src = os.path.dirname(os.path.dirname(rlcc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rlcc.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, Batch, DqnAgent, DqnConfig,
                       InsufficientDataError, QNetwork, ReplayBuffer,
                       Transition, TrainingDivergedError, act_epsilon_greedy,
-                      epsilon_at, loss_and_grads, sync_target, td_targets,
-                      train_step)
+                      epsilon_at, loss_and_grads, td_targets, train_step)
 
 
 def small_net(hidden_count=2, width=8, seed=0):
@@ -273,14 +272,6 @@ class TestTrainStep:
         batch = random_batch(np.random.default_rng(0), n=4)
         with pytest.raises(TrainingDivergedError):
             train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
-
-    def test_sync_target_copies_values(self):
-        net, tgt = small_net(seed=1), small_net(seed=2)
-        sync_target(net, tgt)
-        x = np.ones(6)
-        np.testing.assert_allclose(net.forward(x), tgt.forward(x))
-        net.layers[0][0][0, 0] += 5.0
-        assert not np.allclose(net.forward(x), tgt.forward(x))
 
 
 class TestReplayBuffer:

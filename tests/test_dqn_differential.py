@@ -28,7 +28,7 @@ import reference_dqn
 from rlcc import cli, dqn
 from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig, QNetwork,
                       ReplayBuffer, Transition, TrainingDivergedError,
-                      loss_and_grads, sync_target)
+                      loss_and_grads)
 from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
 
 
@@ -76,7 +76,7 @@ class ReferenceAgent(DqnAgent):
                                     self.cfg.learning_rate, self.cfg.gamma)
         self.train_steps += 1
         if self.train_steps % self.cfg.target_sync_every == 0:
-            sync_target(self.net, self.target_net)
+            self.target_net.copy_from(self.net)
         return loss
 
 
@@ -233,7 +233,7 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
             assert_same(got[1], want[1], exact)
         updates += 1
         if updates % sync_every == 0:
-            sync_target(net, target)
+            target.copy_from(net)
             ref_target.copy_from(ref)
         assert_same(net.forward_batch(probe), ref.forward_batch(probe), exact)
     assert target.version == ref_target.version

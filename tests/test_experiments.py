@@ -5,9 +5,9 @@ import pytest
 
 from rlcc.dqn import DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
-from rlcc.experiments import (BASELINE, ConvergenceParams, FactorLevels,
-                              InvalidDesignError, RunSpec, convergence_step,
-                              derive_seed, enumerate_runs, execute_run)
+from rlcc.experiments import (BASELINE, FactorLevels, InvalidDesignError,
+                              RunSpec, convergence_step, derive_seed,
+                              enumerate_runs, execute_run)
 
 FAST_ENV = EnvConfig(episode_length=40)
 FAST_DQN = DqnConfig(train_updates_per_step=1)
@@ -117,12 +117,6 @@ class TestConvergenceStep:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             convergence_step([1] * 39)
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            ConvergenceParams(window=0).validate()
-        with pytest.raises(ValueError):
-            ConvergenceParams(tolerance_frac=1.5).validate()
 
     def test_matches_brute_force_on_random_series(self):
         rng = np.random.default_rng(42)

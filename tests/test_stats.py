@@ -82,6 +82,12 @@ class TestStudentT:
         with pytest.raises(ValueError):
             student_t_two_sided_p(1.0, 0)
 
+    def test_nan_t_rejected_and_infinite_t_most_significant(self):
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(float("nan"), 5)
+        assert student_t_two_sided_p(float("inf"), 5) == 0.0
+        assert student_t_two_sided_p(float("-inf"), 5) == 0.0
+
 
 class TestDesign:
     def test_interaction_design_columns(self):
