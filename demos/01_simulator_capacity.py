@@ -5,7 +5,7 @@ stop-and-wait flow, a window large enough to saturate the 2 Mbps
 bottleneck, and the same saturating window on a 20% lossy channel.
 """
 
-from rlcc import SimConfig, Simulator, LinkSpec
+from rlcc import BottleneckSpec, SimConfig, Simulator
 from dataclasses import replace
 
 CAPACITY_BPS = 250_000  # 2 Mbps / 8
@@ -36,7 +36,7 @@ def main():
 
     # A 20% Bernoulli channel error collapses the fixed-RTO flow: every
     # loss stalls its segment for a full second.
-    lossy = replace(base, bottleneck_link=LinkSpec(2_000_000, 5.0, 0.2))
+    lossy = replace(base, bottleneck_link=BottleneckSpec(2_000_000, 5.0, 0.2))
     stats, c = run(lossy, cwnd=64)
     print(f"cwnd=64 @ 20% loss: throughput {stats.throughput_Bps:9.0f} B/s   "
           f"retransmissions {c.retransmissions}, error drops {c.drops_error}")

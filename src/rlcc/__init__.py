@@ -1,9 +1,9 @@
 """Deep-Q congestion-window control over a deterministic dumbbell-network
 simulator, with a factorial experiment runner and OLS effect analysis."""
 
-from .netsim import (LinkSpec, SimConfig, Simulator, FlowCounters,
-                     IntervalStats, update_rtt_ewma, InvalidConfigError,
-                     CwndRangeError)
+from .netsim import (BottleneckSpec, LinkSpec, SimConfig, Simulator,
+                     FlowCounters, IntervalStats, update_rtt_ewma,
+                     InvalidConfigError, CwndRangeError)
 from .env import (Action, EnvConfig, Env, Observation, StepResult,
                   compute_reward, normalize, EpisodeDoneError)
 from .dqn import (Batch, DqnAgent, DqnConfig, QNetwork, ReplayBuffer,

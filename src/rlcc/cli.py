@@ -12,8 +12,10 @@ Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers and runs
-past the MAX_STEPS / MAX_SIM_MS budget are rejected.  CSVs are written
-atomically; every output is fully determined by --base-seed.
+past the MAX_STEPS / MAX_SIM_MS budget are rejected.  analyze reads no
+configuration: its flags are --runs, --factors, --response and --out-dir.
+--out-dir is created before a command starts; CSVs are written atomically,
+and every output is fully determined by --base-seed.
 
 Exit codes: 0 success, 2 invalid input, 3 training divergence (train),
 4 partial grid failure.
@@ -114,7 +116,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise CliError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 settings[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     return settings
 
@@ -190,7 +192,6 @@ def _fmt(value) -> str:
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -336,7 +337,7 @@ def _parse_runs_csv(path: str) -> list[dict]:
         with open(path, newline="") as fh:
             # a short row's missing cells read as "", which no cell check accepts
             return list(csv.DictReader(fh, restval=""))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CliError(f"cannot read runs file: {exc}") from exc
 
 
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("analyze", help="coded-factor OLS on runs.csv")
-    common(p)
+    p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--runs", default="runs.csv")
     p.add_argument("--factors", default="error_rate,layers",
                    help="two comma-separated factor columns")
@@ -448,6 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot use --out-dir: {exc}") from exc
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .netsim import IntervalStats, SimConfig, Simulator
 #: Fixed normalization constants: cwnd, segment bytes, bytes sent, RTT ms,
 #: segments acked, throughput B/s.
 DEFAULT_SCALES = (200.0, 1500.0, 1e7, 1000.0, 1e4, 250000.0)
+_SCALES = np.array(DEFAULT_SCALES, dtype=np.float64)
 
 
 class EpisodeDoneError(RuntimeError):
@@ -44,16 +45,6 @@ class Observation:
     segments_acked_total: int
     throughput_Bps: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([
-            self.cwnd_segments,
-            self.segment_bytes,
-            self.bytes_sent_total,
-            self.avg_rtt_ms,
-            self.segments_acked_total,
-            self.throughput_Bps,
-        ], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class StepResult:
@@ -70,7 +61,6 @@ class EnvConfig:
     episode_length: int = 200
     cwnd_min: int = 1
     cwnd_max: int = 200
-    normalization_scales: tuple = DEFAULT_SCALES
 
     def validate(self) -> None:
         if not 0 < self.decision_interval_ms < float("inf"):
@@ -81,10 +71,6 @@ class EnvConfig:
             raise ValueError("need 1 <= cwnd_min <= cwnd_max")
         if self.cwnd_max > self.sim.cwnd_max:
             raise ValueError("cwnd_max exceeds the simulator ceiling")
-        if len(self.normalization_scales) != 6 or not all(
-                0 < s < float("inf") for s in self.normalization_scales):
-            raise ValueError(
-                "normalization_scales must be six positive finite reals")
 
 
 def compute_reward(stats: IntervalStats, bottleneck_rate_bps: int) -> float:
@@ -93,9 +79,12 @@ def compute_reward(stats: IntervalStats, bottleneck_rate_bps: int) -> float:
     return min(1.0, max(0.0, stats.throughput_Bps / capacity_Bps))
 
 
-def normalize(obs: Observation, scales=DEFAULT_SCALES) -> np.ndarray:
-    """Elementwise division by the fixed scales."""
-    return obs.as_vector() / np.asarray(scales, dtype=np.float64)
+def normalize(obs: Observation) -> np.ndarray:
+    """The six observables, in field order, divided by DEFAULT_SCALES."""
+    return np.array([obs.cwnd_segments, obs.segment_bytes,
+                     obs.bytes_sent_total, obs.avg_rtt_ms,
+                     obs.segments_acked_total, obs.throughput_Bps],
+                    dtype=np.float64) / _SCALES
 
 
 class Env:

@@ -175,7 +175,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
     baseline_rng = np.random.default_rng(spec.seed ^ 0x9E3779B9)
 
     obs = env.reset(spec.seed)
-    state = normalize(obs, env_cfg.normalization_scales)
+    state = normalize(obs)
     trace: list[dict] = []
     diverged = False
 
@@ -187,7 +187,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
             action = agent.select_action(state)
             epsilon = agent.last_epsilon
         result = env.step(Action(action))
-        next_state = normalize(result.observation, env_cfg.normalization_scales)
+        next_state = normalize(result.observation)
         loss = None
         if agent is not None:
             agent.observe(Transition(state, action, result.reward,

@@ -48,19 +48,24 @@ class CwndRangeError(ValueError):
 class LinkSpec:
     rate_bps: int
     prop_delay_ms: float
+
+
+@dataclass(frozen=True)
+class BottleneckSpec(LinkSpec):
+    """The router<->router link, the only hop with channel error."""
     loss_prob: float = 0.0
 
 
 #: Access links host<->router, both sides identical.
 DEFAULT_ACCESS = LinkSpec(rate_bps=10_000_000, prop_delay_ms=1.0)
 #: Router<->router link; the 2 Mbps bottleneck caps throughput at 250000 B/s.
-DEFAULT_BOTTLENECK = LinkSpec(rate_bps=2_000_000, prop_delay_ms=5.0)
+DEFAULT_BOTTLENECK = BottleneckSpec(rate_bps=2_000_000, prop_delay_ms=5.0)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     access_link: LinkSpec = DEFAULT_ACCESS
-    bottleneck_link: LinkSpec = DEFAULT_BOTTLENECK
+    bottleneck_link: BottleneckSpec = DEFAULT_BOTTLENECK
     segment_bytes: int = 1000
     ack_bytes: int = 40
     # Sized so the whole reachable cwnd range [1, cwnd_max] is queue-drop free
@@ -105,9 +110,9 @@ def validate_config(cfg: SimConfig) -> None:
         if not 0 <= link.prop_delay_ms < math.inf:
             raise InvalidConfigError(f"{name}.prop_delay_ms",
                                      "must be finite and non-negative")
-        if not 0.0 <= link.loss_prob <= 1.0:
-            raise InvalidConfigError(f"{name}.loss_prob",
-                                     "must be in [0, 1]")
+    if not 0.0 <= cfg.bottleneck_link.loss_prob <= 1.0:
+        raise InvalidConfigError("bottleneck_link.loss_prob",
+                                 "must be in [0, 1]")
     if cfg.ack_bytes < 1:
         raise InvalidConfigError("ack_bytes", "must be >= 1")
     if cfg.segment_bytes < cfg.ack_bytes:

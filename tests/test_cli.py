@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 
 import rlcc
-from rlcc import cli
+from rlcc import cli, experiments
 from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
                       STEPS_HEADER, CliError, build_configs, parse_config_file,
                       run, write_csv_atomic)
@@ -42,7 +42,8 @@ def write_runs_csv(path, edit=None):
         table.append([row[col] for col in RUNS_HEADER])
     if edit is not None:
         edit(table)
-    with open(path, "w", newline="") as fh:
+    # latin-1 writes a cell "\xff" as the byte 0xff, which is not UTF-8
+    with open(path, "w", newline="", encoding="latin-1") as fh:
         csv.writer(fh).writerows(table)
 
 
@@ -70,7 +71,18 @@ MALFORMED_RUNS = {
     "unknown diverged flag": set_cell("diverged", "yes"),
     "no diverged column": drop_diverged_column,
     "short row": truncate_row,
+    "undecodable byte": set_cell("layers", "\xff"),
+    # one character over the csv module's default field size limit
+    "oversized cell": set_cell("avg_throughput_Bps", "1" * 131_073),
 }
+
+
+def assert_exits_2(capsys, *argv):
+    """The command exits 2 with an error line and no traceback."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def flat_config(sim_cfg, env_cfg, dqn_cfg) -> dict:
@@ -183,13 +195,20 @@ class TestInvalidInput:
          "--override", "env.decision_interval_ms=0.01"),
         ("baseline", "--override", "env.decision_interval_ms=50001"),
         ("grid", "--reps", "1", "--override", "env.decision_interval_ms=1e12"),
+        # channel error is a bottleneck field only
+        ("simulate", "--override", "sim.access_link.loss_prob=0.5"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
-        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert any(line.startswith("error:") for line in err.splitlines())
-        assert "Traceback" not in err
+        assert_exits_2(capsys, *argv, "--out-dir", str(tmp_path))
         assert os.listdir(tmp_path) == []
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"sim.rto_ms=\xff\n")
+        out_dir = tmp_path / "out"
+        assert_exits_2(capsys, "simulate", "--config", str(cfg),
+                       "--out-dir", str(out_dir))
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("key", sorted(FACTOR_KEYS.values()))
     def test_grid_rejects_factor_key(self, tmp_path, capsys, key):
@@ -198,6 +217,27 @@ class TestInvalidInput:
         assert code == 2
         assert "set by the grid design" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+class TestOutDir:
+    @pytest.fixture(params=["a file", "under a file"])
+    def unusable_out_dir(self, request, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return blocker if request.param == "a file" else blocker / "sub"
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--duration-ms", "100"),
+        ("train", *FAST),
+        ("grid", *FAST, "--reps", "1", "--jobs", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_before_any_run(self, unusable_out_dir, capsys,
+                                    monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(experiments, "execute_run",
+                            lambda *a, **kw: calls.append(a))
+        assert_exits_2(capsys, *argv, "--out-dir", str(unusable_out_dir))
+        assert calls == []
 
 
 class TestAtomicCsv:
@@ -429,6 +469,18 @@ class TestAnalyze:
                        "--factors", "error_rate",
                        "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flag", [("--config", "run.cfg"),
+                                      ("--override", "bogus.key=1"),
+                                      ("--base-seed", "7")],
+                             ids=lambda flag: flag[0])
+    def test_configuration_flags_rejected(self, tmp_path, capsys, flag):
+        # analyze reads no configuration, so argparse refuses these flags
+        write_runs_csv(tmp_path / "runs.csv")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--runs", str(tmp_path / "runs.csv"), *flag,
+                    "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
     def test_handwritten_runs_csv_fits(self, tmp_path, capsys):
         write_runs_csv(tmp_path / "runs.csv")
         assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
@@ -440,11 +492,8 @@ class TestAnalyze:
     def test_malformed_runs_csv_exits_2(self, tmp_path, capsys, edit):
         write_runs_csv(tmp_path / "runs.csv", edit)
         out_dir = tmp_path / "out"
-        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
-                       "--out-dir", str(out_dir)) == 2
-        err = capsys.readouterr().err
-        assert any(line.startswith("error:") for line in err.splitlines())
-        assert "Traceback" not in err
+        assert_exits_2(capsys, "analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--out-dir", str(out_dir))
         assert not (out_dir / "regression.csv").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, EpisodeDoneError,
                       Observation, compute_reward, normalize)
-from rlcc.netsim import IntervalStats, LinkSpec, SimConfig
+from rlcc.netsim import BottleneckSpec, IntervalStats, SimConfig
 
 
 def stats_with_throughput(thr):
@@ -56,18 +56,10 @@ class TestConfigValidation:
         dict(cwnd_min=0),
         dict(cwnd_min=10, cwnd_max=5),
         dict(cwnd_max=500),
-        dict(normalization_scales=(1.0, 1.0)),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             Env(replace(EnvConfig(), **kw))
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_rejects_non_finite_normalization_scale(self, value):
-        scales = DEFAULT_SCALES[:3] + (value,) + DEFAULT_SCALES[4:]
-        with pytest.raises(ValueError, match="normalization_scales"):
-            replace(EnvConfig(), normalization_scales=scales).validate()
 
 
 class TestEpisode:
@@ -128,7 +120,7 @@ class TestEpisode:
 
     def test_reset_reproducibility(self):
         cfg = EnvConfig(sim=SimConfig(
-            bottleneck_link=LinkSpec(2_000_000, 5.0, 0.2)))
+            bottleneck_link=BottleneckSpec(2_000_000, 5.0, 0.2)))
 
         def rollout(seed):
             env = Env(cfg)

@@ -8,15 +8,15 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from rlcc.env import EnvConfig
-from rlcc.netsim import (CwndRangeError, InvalidConfigError, LinkSpec,
-                         SimConfig, Simulator, update_rtt_ewma)
+from rlcc.netsim import (BottleneckSpec, CwndRangeError, InvalidConfigError,
+                         LinkSpec, SimConfig, Simulator, update_rtt_ewma)
 
 CAPACITY_BPS = 250_000  # 2 Mbps bottleneck in bytes/second
 
 
 def lossy_config(loss_prob, seed=0, **kw):
-    return SimConfig(
-        bottleneck_link=LinkSpec(2_000_000, 5.0, loss_prob), seed=seed, **kw)
+    return SimConfig(bottleneck_link=BottleneckSpec(2_000_000, 5.0, loss_prob),
+                     seed=seed, **kw)
 
 
 class TestConfigValidation:
@@ -31,9 +31,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("cfg,field", [
         (SimConfig(queue_capacity_segments=0), "queue_capacity_segments"),
         (SimConfig(access_link=LinkSpec(0, 1.0)), "access_link.rate_bps"),
-        (SimConfig(bottleneck_link=LinkSpec(2_000_000, -1.0)),
+        (SimConfig(bottleneck_link=BottleneckSpec(2_000_000, -1.0)),
          "bottleneck_link.prop_delay_ms"),
-        (SimConfig(bottleneck_link=LinkSpec(2_000_000, 5.0, 1.5)),
+        (SimConfig(bottleneck_link=BottleneckSpec(2_000_000, 5.0, 1.5)),
          "bottleneck_link.loss_prob"),
         (SimConfig(segment_bytes=20, ack_bytes=40), "segment_bytes"),
         (SimConfig(ack_bytes=0), "ack_bytes"),
@@ -53,11 +53,12 @@ class TestConfigValidation:
         (lambda v: Simulator(SimConfig(access_link=LinkSpec(10_000_000, v))),
          "access_link.prop_delay_ms"),
         (lambda v: Simulator(SimConfig(
-            bottleneck_link=LinkSpec(2_000_000, v))),
+            bottleneck_link=BottleneckSpec(2_000_000, v))),
          "bottleneck_link.prop_delay_ms"),
         (lambda v: EnvConfig(decision_interval_ms=v).validate(),
          "decision_interval_ms"),
-        (lambda v: Simulator(SimConfig(bottleneck_link=LinkSpec(v, 5.0))),
+        (lambda v: Simulator(SimConfig(
+            bottleneck_link=BottleneckSpec(v, 5.0))),
          "bottleneck_link.rate_bps"),
     ], ids=["advance", "rto", "access_delay", "bottleneck_delay",
             "decision_interval", "bottleneck_rate"])

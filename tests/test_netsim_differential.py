@@ -10,7 +10,7 @@ interval stats, flow counters and in-flight count, compared with ``==``.
 from hypothesis import example, given, settings, strategies as st
 
 from reference_netsim import ReferenceSimulator
-from rlcc.netsim import LinkSpec, SimConfig, Simulator
+from rlcc.netsim import BottleneckSpec, LinkSpec, SimConfig, Simulator
 
 ROUND_RATES = [500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000,
                10_000_000, 16_000_000]
@@ -29,8 +29,8 @@ def delays():
 @st.composite
 def sim_configs(draw):
     access = LinkSpec(draw(rates()), draw(delays()))
-    bottleneck = LinkSpec(draw(rates()), draw(delays()),
-                          draw(st.sampled_from(LOSS_PROBS)))
+    bottleneck = BottleneckSpec(draw(rates()), draw(delays()),
+                                draw(st.sampled_from(LOSS_PROBS)))
     # validate_config requires rto_ms > 4x the one-way propagation delay
     floor_ms = 4 * (2 * access.prop_delay_ms + bottleneck.prop_delay_ms)
     margin_ms = draw(st.sampled_from([1e-3, 0.5, 4.0, 20.0, 1000.0])
@@ -64,17 +64,17 @@ def assert_same_state(new, ref):
 # timestamp and the instant they were scheduled at; only the older events
 # that led to them decide which comes first.
 DEEP_TIE = SimConfig(access_link=LinkSpec(4_000_000, 4.0),
-                     bottleneck_link=LinkSpec(1_000_000, 1.0),
+                     bottleneck_link=BottleneckSpec(1_000_000, 1.0),
                      segment_bytes=500, queue_capacity_segments=1,
                      seed=140271)
 # A departure at the time of an arrival at router1 that leaves after it ...
 ARRIVAL_FIRST = SimConfig(access_link=LinkSpec(16_000_000, 2.0),
-                          bottleneck_link=LinkSpec(4_000_000, 0.5, 0.05),
+                          bottleneck_link=BottleneckSpec(4_000_000, 0.5, 0.05),
                           segment_bytes=120, queue_capacity_segments=5,
                           rto_ms=28.0, seed=480595)
 # ... and one that leaves before it.
 DEPARTURE_FIRST = SimConfig(access_link=LinkSpec(16_000_000, 1.0),
-                            bottleneck_link=LinkSpec(4_000_000, 0.5),
+                            bottleneck_link=BottleneckSpec(4_000_000, 0.5),
                             segment_bytes=1500, queue_capacity_segments=5,
                             seed=390463)
 
@@ -82,7 +82,7 @@ DEPARTURE_FIRST = SimConfig(access_link=LinkSpec(16_000_000, 1.0),
 # ACKs share timestamps; the heap must order them by when they were
 # scheduled, not by when they entered it.
 HEAP_TIE = SimConfig(access_link=LinkSpec(10_000_000, 0.0),
-                     bottleneck_link=LinkSpec(1_000_000, 0.0, 0.5),
+                     bottleneck_link=BottleneckSpec(1_000_000, 0.0, 0.5),
                      segment_bytes=500, queue_capacity_segments=1,
                      rto_ms=1.0, seed=787615)
 
