@@ -23,8 +23,7 @@ def worker(spec):
 
 
 def main():
-    specs = enumerate_runs(FactorLevels(), design="full", reps=REPS,
-                           base_seed=42)
+    specs = enumerate_runs(FactorLevels(), reps=REPS, base_seed=42)
     print(f"running {len(specs)} episodes ...")
     with ProcessPoolExecutor(max_workers=4) as pool:
         records = list(pool.map(worker, specs))

@@ -11,14 +11,15 @@ baseline   one episode with uniform-random actions (control condition)
 Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
-and --error-rate win over both.  Unknown keys, non-finite numbers and runs
-past the MAX_STEPS / MAX_SIM_MS budget are rejected.  analyze reads no
-configuration: its flags are --runs, --factors, --response and --out-dir.
+and --error-rate win over both.  Unknown keys, non-finite numbers, integers
+outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget are rejected.
+analyze reads no configuration: its flags are --runs, --factors, --response
+and --out-dir.
 --out-dir is created before a command starts; CSVs are written atomically,
 and every output is fully determined by --base-seed.
 
-Exit codes: 0 success, 2 invalid input, 3 training divergence (train),
-4 partial grid failure.
+Exit codes: 0 success, 2 invalid input (including a configuration too large
+to allocate), 3 training divergence (train), 4 partial grid failure.
 """
 
 from __future__ import annotations
@@ -70,7 +71,16 @@ def finite_float(raw) -> float:
     return value
 
 
-_KINDS = {int: "an integer", finite_float: "a finite number"}
+def int64(raw) -> int:
+    """int() that rejects values outside [-2**63, 2**63)."""
+    value = int(raw)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(raw)
+    return value
+
+
+_KINDS = {int64: "an integer in [-2**63, 2**63)",
+          finite_float: "a finite number"}
 
 
 def _scalar_keys(prefix: str, cfg) -> dict:
@@ -86,7 +96,7 @@ def _scalar_keys(prefix: str, cfg) -> dict:
         if is_dataclass(value):
             keys.update(_scalar_keys(key, value))
         elif type(value) in (int, float):
-            keys[key] = int if type(value) is int else finite_float
+            keys[key] = int64 if type(value) is int else finite_float
     return keys
 
 
@@ -308,8 +318,8 @@ def cmd_grid(args) -> int:
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
     try:
         specs = experiments.enumerate_runs(
-            experiments.FactorLevels(), design=args.design,
-            reps=args.reps, base_seed=args.base_seed)
+            experiments.FactorLevels(), reps=args.reps,
+            base_seed=args.base_seed)
     except experiments.InvalidDesignError as exc:
         raise CliError(str(exc))
     jobs = [(spec, env_cfg, dqn_cfg) for spec in specs]
@@ -422,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="factorial experiment grid")
     common(p)
-    p.add_argument("--design", choices=("full", "pairwise"), default="full")
+    p.add_argument("--design", choices=("full",), default="full")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, >= 1 (default: available "
@@ -456,6 +466,10 @@ def run(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: configuration too large to allocate: {exc}",
+              file=sys.stderr)
         return EXIT_INVALID
 
 

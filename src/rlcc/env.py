@@ -1,10 +1,11 @@
 """Episodic gym-style environment around one simulator instance.
 
-Each step applies a discrete congestion-window action (-1 / 0 / +1 segment,
-clamped to [cwnd_min, cwnd_max]), advances the simulator by one decision
-interval, and returns the six flow observables plus a reward equal to the
-interval throughput normalized by bottleneck capacity, clamped to [0, 1].
-Episodes run a fixed number of steps.
+Each episode starts at the simulator's window of 1 segment.  Each step
+applies a discrete congestion-window action (-1 / 0 / +1 segment, clamped to
+[1, sim.cwnd_max], the simulator's own range), advances the simulator by one
+decision interval, and returns the six flow observables plus a reward equal
+to the interval throughput normalized by bottleneck capacity, clamped to
+[0, 1].  Episodes run a fixed number of steps.
 """
 
 from __future__ import annotations
@@ -59,18 +60,12 @@ class EnvConfig:
     sim: SimConfig = SimConfig()
     decision_interval_ms: float = 100.0
     episode_length: int = 200
-    cwnd_min: int = 1
-    cwnd_max: int = 200
 
     def validate(self) -> None:
         if not 0 < self.decision_interval_ms < float("inf"):
             raise ValueError("decision_interval_ms must be positive and finite")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        if not 1 <= self.cwnd_min <= self.cwnd_max:
-            raise ValueError("need 1 <= cwnd_min <= cwnd_max")
-        if self.cwnd_max > self.sim.cwnd_max:
-            raise ValueError("cwnd_max exceeds the simulator ceiling")
 
 
 def compute_reward(stats: IntervalStats, bottleneck_rate_bps: int) -> float:
@@ -100,8 +95,6 @@ class Env:
 
     def reset(self, seed: int) -> Observation:
         self._sim = Simulator(replace(self.cfg.sim, seed=seed))
-        if self.cfg.cwnd_min != 1:
-            self._sim.set_cwnd(self.cfg.cwnd_min)
         self._step_count = 0
         self._done = False
         self._last_stats = None
@@ -110,10 +103,8 @@ class Env:
     def step(self, action: Action) -> StepResult:
         if self._sim is None or self._done:
             raise EpisodeDoneError("episode is finished; call reset()")
-        new_cwnd = min(self.cfg.cwnd_max,
-                       max(self.cfg.cwnd_min,
-                           self._sim.cwnd + Action(action).delta))
-        self._sim.set_cwnd(new_cwnd)
+        self._sim.set_cwnd(min(self.cfg.sim.cwnd_max,
+                               max(1, self._sim.cwnd + Action(action).delta)))
         stats = self._sim.advance(self.cfg.decision_interval_ms)
         self._last_stats = stats
         self._step_count += 1

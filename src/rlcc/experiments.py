@@ -36,10 +36,6 @@ class FactorLevels:
                 raise InvalidDesignError(f"empty level set for {name}")
 
 
-#: Baseline levels used to hold the third factor fixed in pairwise designs.
-BASELINE = {"layers": 2, "learning_rate": 0.01, "error_rate": 0.0}
-
-
 @dataclass(frozen=True)
 class RunSpec:
     run_id: str
@@ -86,35 +82,17 @@ def _make_spec(layers, learning_rate, error_rate, rep, base_seed) -> RunSpec:
     )
 
 
-def enumerate_runs(factors: FactorLevels, design: str = "full",
-                   reps: int = 10, base_seed: int = 42) -> list[RunSpec]:
-    """Expand the design into RunSpecs, ordered cell-lexicographic then rep.
-
-    'full' is the Cartesian product of all level sets.  'pairwise' crosses
-    each unordered factor pair while holding the third factor at its
-    baseline level, with duplicate cells removed.
-    """
+def enumerate_runs(factors: FactorLevels, reps: int = 10,
+                   base_seed: int = 42) -> list[RunSpec]:
+    """The full factorial design: every combination of the level sets,
+    ordered cell-lexicographic then rep."""
     factors.validate()
     if reps < 1:
         raise InvalidDesignError("reps must be >= 1")
-    if design == "full":
-        cells = set(product(factors.layers, factors.learning_rate,
-                            factors.error_rate))
-    elif design == "pairwise":
-        cells = set()
-        for l, lr in product(factors.layers, factors.learning_rate):
-            cells.add((l, lr, BASELINE["error_rate"]))
-        for l, e in product(factors.layers, factors.error_rate):
-            cells.add((l, BASELINE["learning_rate"], e))
-        for lr, e in product(factors.learning_rate, factors.error_rate):
-            cells.add((BASELINE["layers"], lr, e))
-    else:
-        raise InvalidDesignError(f"unknown design {design!r}")
-    specs = []
-    for l, lr, e in sorted(cells):
-        for rep in range(reps):
-            specs.append(_make_spec(l, lr, e, rep, base_seed))
-    return specs
+    cells = set(product(factors.layers, factors.learning_rate,
+                        factors.error_rate))
+    return [_make_spec(l, lr, e, rep, base_seed)
+            for l, lr, e in sorted(cells) for rep in range(reps)]
 
 
 def convergence_step(cwnd_series):

@@ -10,8 +10,8 @@ import pytest
 import rlcc
 from rlcc import cli, experiments
 from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
-                      STEPS_HEADER, CliError, build_configs, parse_config_file,
-                      run, write_csv_atomic)
+                      STEPS_HEADER, CliError, build_configs, int64,
+                      parse_config_file, run, write_csv_atomic)
 
 
 def read_csv(path):
@@ -148,23 +148,27 @@ class TestConfigParsing:
             key for key, value in default.items()
             if not key.endswith(".seed") and type(value) in (int, float)]
         for key, cast in CONFIG_KEYS.items():
-            raw = self.ONE_KEY_VALUES.get(key, "40" if cast is int else "0.5")
+            raw = self.ONE_KEY_VALUES.get(key,
+                                          "40" if cast is int64 else "0.5")
             sim_cfg, env_cfg, dqn_cfg = build_configs({key: raw})
             assert env_cfg.sim == sim_cfg
             resolved = flat_config(sim_cfg, env_cfg, dqn_cfg)
             assert {k for k in default if resolved[k] != default[k]} == {key}
             assert resolved[key] == cast(raw)
 
-        settings = {key: "40" if cast is int else "0.5"
+        settings = {key: "40" if cast is int64 else "0.5"
                     for key, cast in CONFIG_KEYS.items()}
         settings["sim.segment_bytes"] = "1000"
         settings["sim.rto_ms"] = "1000"
         settings["dqn.hidden_count"] = "4"
         settings["dqn.batch_size"] = "16"
-        settings["env.cwnd_min"] = "1"
-        settings["sim.cwnd_max"] = "200"
-        settings["env.cwnd_max"] = "40"
         build_configs(settings)
+
+    @pytest.mark.parametrize("key", ["sim.bottleneck_link.rate_bps",
+                                     "sim.segment_bytes"])
+    def test_largest_int64_accepted(self, key):
+        resolved = flat_config(*build_configs({key: str(2 ** 63 - 1)}))
+        assert resolved[key] == 2 ** 63 - 1
 
 
 class TestInvalidInput:
@@ -197,6 +201,23 @@ class TestInvalidInput:
         ("grid", "--reps", "1", "--override", "env.decision_interval_ms=1e12"),
         # channel error is a bottleneck field only
         ("simulate", "--override", "sim.access_link.loss_prob=0.5"),
+        # the agent's window range is the simulator's [1, sim.cwnd_max]
+        ("train", "--override", "env.cwnd_min=1"),
+        ("train", "--override", "env.cwnd_max=200"),
+        # integer keys must fit in int64
+        pytest.param(("train", "--override",
+                      "sim.bottleneck_link.rate_bps=1" + "0" * 400),
+                     id="train rate_bps=1e400"),
+        pytest.param(("simulate", "--override",
+                      "sim.segment_bytes=1" + "0" * 400,
+                      "--override", "sim.ack_bytes=1"),
+                     id="simulate segment_bytes=1e400 ack_bytes=1"),
+        ("train", "--override", f"sim.bottleneck_link.rate_bps={2 ** 63}"),
+        # arrays of hundreds of TiB: the allocation fails at once
+        ("train", "--override", "dqn.buffer_capacity=10000000000000"),
+        ("train", "--override", "dqn.hidden_width=10000000"),
+        ("grid", "--reps", "1", "--jobs", "2",
+         "--override", "dqn.buffer_capacity=10000000000000"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert_exits_2(capsys, *argv, "--out-dir", str(tmp_path))
@@ -341,6 +362,14 @@ class TestTrainAndBaseline:
         # partial trace retained
         assert len(read_csv(tmp_path / "steps.csv")) >= 2
 
+    def test_window_capped_by_simulator_ceiling(self, tmp_path, capsys):
+        code = run_cli("train", *FAST, "--override", "sim.cwnd_max=2",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        steps = read_csv(tmp_path / "steps.csv")
+        cwnds = [int(r[STEPS_HEADER.index("cwnd")]) for r in steps[1:]]
+        assert len(cwnds) == 40 and max(cwnds) == 2
+
     def test_baseline_has_no_agent_columns(self, tmp_path, capsys):
         code = run_cli("baseline", *FAST, "--out-dir", str(tmp_path))
         assert code == 0
@@ -361,12 +390,13 @@ class TestGrid:
         cells = {(r[1], r[2], r[3]) for r in runs[1:]}
         assert len(cells) == 12
 
-    def test_pairwise_grid_cell_count(self, tmp_path, capsys):
-        code = run_cli("grid", *FAST, "--design", "pairwise", "--reps", "1",
-                       "--jobs", "1", "--out-dir", str(tmp_path))
-        assert code == 0
-        runs = read_csv(tmp_path / "runs.csv")
-        assert len(runs) == 11  # 10 unique cells + header
+    def test_pairwise_design_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("grid", "--design", "pairwise", "--reps", "1",
+                    "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "invalid choice: 'pairwise'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_jobs_do_not_change_output(self, tmp_path, capsys):
         serial, parallel = tmp_path / "s", tmp_path / "p"

@@ -172,8 +172,9 @@ def reference_theta(net):
 
 
 def assert_same(got, want, exact):
+    # NaNs must sit at the same places, as assert_allclose also requires
     if exact:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -198,7 +199,8 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
     same pushes and sampled with the same seed.  A gradient an outside
     caller gets from loss_and_grads is held across each update.  Losses,
     held gradients, Q-values and weights must be bitwise equal where the
-    batch size is position-stable, else agree to 1e-9 relative."""
+    batch size is position-stable, else agree to 1e-9 relative.  A run that
+    diverges must diverge on the same update in both."""
     net = QNetwork(depth, width, np.random.default_rng(seed))
     ref = reference_dqn.QNetwork(depth, width, np.random.default_rng(seed))
     assert np.array_equal(net.theta, reference_theta(ref))
@@ -223,7 +225,13 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
         held = loss_and_grads(net, batch.states, batch.actions, batch.rewards)
         ref_held = reference_dqn.loss_and_grads(
             ref, ref_batch.states, ref_batch.actions, ref_batch.rewards)
-        loss = dqn.train_step(net, target, batch, lr, 0.95)
+        try:
+            loss = dqn.train_step(net, target, batch, lr, 0.95)
+        except TrainingDivergedError:
+            # a large lr may diverge; the reference must, on the same update
+            with pytest.raises(TrainingDivergedError):
+                reference_dqn.train_step(ref, ref_target, ref_batch, lr, 0.95)
+            break
         ref_loss = reference_dqn.train_step(ref, ref_target, ref_batch, lr,
                                             0.95)
         assert_same(loss, ref_loss, exact)

@@ -53,9 +53,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(decision_interval_ms=0.0),
         dict(episode_length=0),
-        dict(cwnd_min=0),
-        dict(cwnd_min=10, cwnd_max=5),
-        dict(cwnd_max=500),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -97,7 +94,7 @@ class TestEpisode:
         env = Env(EnvConfig())
         env.reset(seed=3)
         assert env.step(Action.DECREASE).observation.cwnd_segments == 1
-        env2 = Env(replace(EnvConfig(), cwnd_max=2))
+        env2 = Env(EnvConfig(sim=replace(SimConfig(), cwnd_max=2)))
         env2.reset(seed=3)
         env2.step(Action.INCREASE)
         assert env2.step(Action.INCREASE).observation.cwnd_segments == 2

@@ -5,9 +5,9 @@ import pytest
 
 from rlcc.dqn import DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
-from rlcc.experiments import (BASELINE, FactorLevels, InvalidDesignError,
-                              RunSpec, convergence_step, derive_seed,
-                              enumerate_runs, execute_run)
+from rlcc.experiments import (FactorLevels, InvalidDesignError, RunSpec,
+                              convergence_step, derive_seed, enumerate_runs,
+                              execute_run)
 
 FAST_ENV = EnvConfig(episode_length=40)
 FAST_DQN = DqnConfig(train_updates_per_step=1)
@@ -52,7 +52,7 @@ class TestSeedDerivation:
 
 class TestEnumerateRuns:
     def test_full_design_size_and_order(self):
-        specs = enumerate_runs(FactorLevels(), design="full", reps=10)
+        specs = enumerate_runs(FactorLevels(), reps=10)
         assert len(specs) == 12 * 10
         cells = [(s.layers, s.learning_rate, s.error_rate) for s in specs]
         assert cells == sorted(cells)
@@ -60,44 +60,28 @@ class TestEnumerateRuns:
         assert len(set(cells)) == 12
 
     def test_full_design_is_cartesian_product(self):
-        specs = enumerate_runs(FactorLevels(), design="full", reps=1)
+        specs = enumerate_runs(FactorLevels(), reps=1)
         cells = {(s.layers, s.learning_rate, s.error_rate) for s in specs}
         assert cells == set(itertools.product((2, 4, 8), (0.01, 0.001),
                                               (0.0, 0.2)))
 
-    def test_pairwise_design_cells(self):
-        specs = enumerate_runs(FactorLevels(), design="pairwise", reps=1)
-        cells = {(s.layers, s.learning_rate, s.error_rate) for s in specs}
-        # union of the three pair grids with the third factor at baseline
-        expected = set()
-        for l, lr in itertools.product((2, 4, 8), (0.01, 0.001)):
-            expected.add((l, lr, BASELINE["error_rate"]))
-        for l, e in itertools.product((2, 4, 8), (0.0, 0.2)):
-            expected.add((l, BASELINE["learning_rate"], e))
-        for lr, e in itertools.product((0.01, 0.001), (0.0, 0.2)):
-            expected.add((BASELINE["layers"], lr, e))
-        assert cells == expected
-        assert len(cells) == 10
-
     def test_seeds_differ_per_rep_and_follow_derivation(self):
-        specs = enumerate_runs(FactorLevels(), design="full", reps=3,
-                               base_seed=7)
+        specs = enumerate_runs(FactorLevels(), reps=3, base_seed=7)
         assert len({s.seed for s in specs}) == len(specs)
         for s in specs:
             assert s.seed == derive_seed(7, s.layers, s.learning_rate,
                                          s.error_rate, s.rep)
 
     @pytest.mark.parametrize("kw", [
-        dict(design="latin"),
         dict(reps=0),
     ])
     def test_rejects(self, kw):
         with pytest.raises(InvalidDesignError):
-            enumerate_runs(FactorLevels(), **{"design": "full", "reps": 1, **kw})
+            enumerate_runs(FactorLevels(), **kw)
 
     def test_empty_levels_rejected(self):
         with pytest.raises(InvalidDesignError):
-            enumerate_runs(FactorLevels(layers=()), design="full")
+            enumerate_runs(FactorLevels(layers=()))
 
 
 class TestConvergenceStep:
