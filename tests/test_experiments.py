@@ -73,6 +73,7 @@ class TestEnumerateRuns:
                                          s.error_rate, s.rep)
 
     @pytest.mark.parametrize("kw", [
+        dict(reps=-1),
         dict(reps=0),
     ])
     def test_rejects(self, kw):
