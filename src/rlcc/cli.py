@@ -13,8 +13,8 @@ Configuration is a flat key=value file with dotted namespaces
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers, integers
 outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget are rejected.
-analyze reads no configuration: its flags are --runs, --factors, --response
-and --out-dir.
+analyze reads no configuration (its flags are --runs, --factors, --response and
+--out-dir) and prints each cell's kept and dropped run counts to stderr.
 --out-dir is created before a command starts; CSVs are written atomically,
 and every output is fully determined by --base-seed.
 
@@ -361,11 +361,13 @@ def cmd_analyze(args) -> int:
     for column in (*factor_names, args.response, "diverged"):
         if column not in rows[0]:
             raise CliError(f"column {column!r} missing from {args.runs}")
-    kept = []
+    kept, counts = [], {}   # cell (raw factor cells) -> [kept, dropped]
     for i, r in enumerate(rows, 1):
         if r["diverged"] not in ("true", "false"):
             raise CliError(f"{args.runs} row {i}: diverged: "
                            f"{r['diverged']!r} is not true or false")
+        cell = tuple(r[name] for name in factor_names)
+        counts.setdefault(cell, [0, 0])[r["diverged"] == "true"] += 1
         if r["diverged"] == "false":
             kept.append((i, r))
 
@@ -389,6 +391,10 @@ def cmd_analyze(args) -> int:
         table = stats.ols_fit(X, names, y)
     except (stats.SingularDesignError, ValueError) as exc:
         raise CliError(str(exc))
+    for cell, (n_kept, n_dropped) in counts.items():
+        levels = " ".join(f"{n}={v}" for n, v in zip(factor_names, cell))
+        print(f"cell {levels}: kept {n_kept}, dropped {n_dropped}",
+              file=sys.stderr)
     write_csv_atomic(os.path.join(args.out_dir, "regression.csv"),
                      REGRESSION_HEADER, [asdict(row) for row in table])
     print(stats.render_table(table))

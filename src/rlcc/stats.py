@@ -4,12 +4,14 @@ Each factor's declared levels are coded, in sorted order, to evenly spaced
 points on [-1, +1] ({-1, +1} for two levels, {-1, 0, +1} for three), so a
 coefficient reads as a half-effect and the reported influence is twice the
 coefficient.  The fit uses a QR decomposition rather than an explicit
-normal-equation inverse, and p-values come from the two-sided Student-t tail
-via the regularized incomplete beta function.
+normal-equation inverse.  p-values are the two-sided Student-t tail, the
+regularized incomplete beta function, computed here by a continued fraction
+from the standard library's math functions alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +21,10 @@ from .experiments import FactorLevels
 #: A residual sum of squares at most this fraction of ||y||^2 (or of 1) is
 #: a perfect fit.
 PERFECT_FIT_RTOL = 1e-12
+
+#: _betainc stops once a step moves its fraction by at most _CF_EPS and
+#: raises after _CF_MAX_STEPS steps (about 60 suffice at any df).
+_CF_EPS, _CF_MAX_STEPS, _CF_TINY = 1e-15, 200, 1e-300
 
 
 class InvalidLevelError(ValueError):
@@ -66,20 +72,43 @@ class RegressionRow:
     p_value: float | None
 
 
-def student_t_two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for T ~ Student-t with df degrees of freedom."""
-    # imported here: only analyze needs scipy, so other commands start faster
-    from scipy.special import betainc
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), 0 <= x <= 1, by the modified
+    Lentz continued fraction (Numerical Recipes 6.4); from x = (a + 1) /
+    (a + b + 2) on, where it converges slower, as 1 - I_(1-x)(b, a)."""
+    if x == 0.0 or x == 1.0:
+        return x
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x = b, a, 1.0 - x
+    # 1/B(a, b) by gamma's ratio where it fits: lgamma's difference cancels
+    front = math.exp(a * math.log(x) + b * math.log1p(-x)) / a * (
+        math.gamma(a + b) / math.gamma(a) / math.gamma(b) if a + b < 171
+        else math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)))
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        q = a + 2 * m
+        for num in (m * (b - m) * x / ((q - 1) * q),
+                    -(a + m) * (a + b + m) * x / (q * (q + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _CF_EPS:
+            return 1.0 - front * h if swap else front * h
+    raise ArithmeticError(f"incomplete beta I_x(a, b) at a={a}, b={b}, "
+                          f"x={x} did not converge in {_CF_MAX_STEPS} steps")
 
-    if df < 1:
-        raise ValueError("df must be >= 1")
+
+def student_t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for T ~ Student-t with df degrees of freedom: 1 at
+    t = 0 and 0 at t = +-inf, where df / (df + t * t) is 1 or 0."""
     t = float(t)
-    if np.isnan(t):
-        raise ValueError("t is nan")
-    if np.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return float(betainc(df / 2.0, 0.5, x))
+    if df < 1 or math.isnan(t):
+        raise ValueError(f"need df >= 1 and t not nan, got df={df}, t={t}")
+    return _betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
 def make_interaction_design(coded_a: np.ndarray, coded_b: np.ndarray,

@@ -517,6 +517,28 @@ class TestAnalyze:
                        "--out-dir", str(tmp_path)) == 0
         assert (tmp_path / "regression.csv").exists()
 
+    def test_cell_counts_on_stderr(self, tmp_path, capsys):
+        def mark_diverged(table):
+            # rows 1-12 are layers x error_rate x rep in product order
+            for i in (1, 11, 12):
+                table[i][RUNS_HEADER.index("diverged")] = "true"
+            table[12][RUNS_HEADER.index("avg_throughput_Bps")] = ""
+        write_runs_csv(tmp_path / "runs.csv", mark_diverged)
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--out-dir", str(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "cell error_rate=0.0 layers=2: kept 1, dropped 1",
+            "cell error_rate=0.2 layers=2: kept 2, dropped 0",
+            "cell error_rate=0.0 layers=4: kept 2, dropped 0",
+            "cell error_rate=0.2 layers=4: kept 2, dropped 0",
+            "cell error_rate=0.0 layers=8: kept 2, dropped 0",
+            "cell error_rate=0.2 layers=8: kept 0, dropped 2",
+        ]
+        # the counts go to stderr only: stdout is the table alone
+        assert captured.out.splitlines()[0].split()[0] == "Term"
+        assert "cell" not in captured.out
+
     @pytest.mark.parametrize("edit", MALFORMED_RUNS.values(),
                              ids=MALFORMED_RUNS.keys())
     def test_malformed_runs_csv_exits_2(self, tmp_path, capsys, edit):
@@ -527,13 +549,18 @@ class TestAnalyze:
         assert not (out_dir / "regression.csv").exists()
 
 
-def test_importing_cli_leaves_scipy_unloaded():
-    # scipy serves only analyze's p-values; other commands should not pay
-    # for loading it
+def test_importing_cli_leaves_scipy_unloaded(tmp_path):
+    # p-values are computed in rlcc.stats, so no command loads scipy, not
+    # even analyze, the one that used to
+    write_runs_csv(tmp_path / "runs.csv")
     src = os.path.dirname(os.path.dirname(rlcc.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rlcc.cli; print('scipy' in sys.modules)"],
+         "import sys, rlcc.cli; code = rlcc.cli.run(['analyze', '--runs', "
+         "sys.argv[1], '--out-dir', sys.argv[2]]); "
+         "print(code, 'scipy' in sys.modules)",
+         str(tmp_path / "runs.csv"), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "regression.csv").exists()

@@ -92,6 +92,9 @@ class ReferenceAgent(DqnAgent):
 # the ring wraps many times between syncs
 @example(depth=4, batch_size=8, capacity_extra=12, pushes=60, sync_every=60,
          updates=4, seed=2)
+# a batch of one that diverges on the last of its 92 updates
+@example(depth=4, batch_size=1, capacity_extra=6, pushes=23, sync_every=1,
+         updates=4, seed=49)
 def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
                                                   capacity_extra, pushes,
                                                   sync_every, updates, seed):
@@ -101,6 +104,7 @@ def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
     agent, reference = DqnAgent(cfg), ReferenceAgent(cfg)
     exact = rows_independent_of_position(agent.target_net, batch_size)
     source = np.random.default_rng(seed)
+    diverged = False
     for _ in range(pushes):
         tr = Transition(source.normal(size=6), int(source.integers(3)),
                         float(source.normal()), source.normal(size=6),
@@ -108,16 +112,27 @@ def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
         agent.observe(tr)
         reference.observe(tr)
         for _ in range(updates):
-            loss, ref_loss = agent.learn(), reference.learn()
+            try:
+                loss = agent.learn()
+            except TrainingDivergedError:
+                # training may diverge; the reference must, on the same update
+                with pytest.raises(TrainingDivergedError):
+                    reference.learn()
+                diverged = True
+                break
+            ref_loss = reference.learn()
             if exact or ref_loss is None:
                 assert loss == ref_loss
             else:
                 assert loss == pytest.approx(ref_loss, rel=1e-9)
+        if diverged:
+            break
     assert agent.train_steps == reference.train_steps
     for got, want in zip(agent.net.layers, reference.net.layers):
         for array, ref_array in zip(got, want):
+            # NaNs must sit at the same places, as assert_allclose requires
             if exact:
-                assert np.array_equal(array, ref_array)
+                assert np.array_equal(array, ref_array, equal_nan=True)
             else:
                 np.testing.assert_allclose(array, ref_array, rtol=1e-9,
                                            atol=1e-12)

@@ -1,8 +1,11 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rlcc import stats
 from rlcc.experiments import FactorLevels
 from rlcc.stats import (InvalidLevelError, RegressionRow, SingularDesignError,
                         code_level, make_interaction_design, ols_fit,
@@ -31,6 +34,19 @@ def t_p_oracle(t, df):
                      / (mpmath.sqrt(df_ * mpmath.pi) * mpmath.gamma(df_ / 2))
                      * (1 + x * x / df_) ** (-(df_ + 1) / 2))
     return float(2 * mpmath.quad(pdf, [t, mpmath.inf]))
+
+
+#: The differential grid against scipy: small to large residual df, and
+#: |t| log-spaced over [1e-3, 1e3] plus t = 0.
+SCIPY_DFS = [1, 2, 3, 4, 5, 8, 12, 20, 36, 116, 200, 1000, 10**4]
+SCIPY_TS = [0.0, *np.logspace(-3, 3, 121)]
+
+
+def p_tolerance(df):
+    """Relative accuracy promised against scipy: 1e-12 up to df 200 and
+    1e-9 beyond.  Above df 341, 1/B(a, b) comes from lgamma's difference,
+    whose cancellation grows with df."""
+    return 1e-12 if df <= 200 else 1e-9
 
 
 class TestCoding:
@@ -87,6 +103,57 @@ class TestStudentT:
             student_t_two_sided_p(float("nan"), 5)
         assert student_t_two_sided_p(float("inf"), 5) == 0.0
         assert student_t_two_sided_p(float("-inf"), 5) == 0.0
+
+    @pytest.mark.parametrize("df", SCIPY_DFS)
+    def test_matches_scipy_betainc(self, df):
+        # scipy is a test-only oracle: the betainc call rlcc made before
+        special = pytest.importorskip("scipy.special")
+        for t in SCIPY_TS:
+            want = float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+            for signed in (t, -t):
+                # below the normal range scipy gives 0 or a subnormal
+                assert student_t_two_sided_p(signed, df) == pytest.approx(
+                    want, rel=p_tolerance(df), abs=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("df", [36, 100, 116, 150, 250, 300, 340])
+    def test_accurate_where_fraction_swaps(self, df):
+        # Just below the swap p is 1 - I_(1-x)(1/2, df/2) near 0.1, so the
+        # error of 1/B(a, b) grows about tenfold; as a ratio of gammas it
+        # stays within 1e-13 of a 40-digit betainc (lgamma's difference
+        # reaches 1.6e-12 here)
+        import mpmath
+        a = df / 2.0
+        t_swap = math.sqrt(df * ((a + 2.5) / (a + 1.0) - 1.0))
+        for t in (t_swap * (1 - 1e-12), t_swap * (1 + 1e-12)):
+            x = df / (df + t * t)
+            with mpmath.workdps(40):
+                want = float(mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0,
+                                            mpmath.mpf(x), regularized=True))
+            assert student_t_two_sided_p(t, df) == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+
+    def test_zero_t_is_exactly_one(self):
+        for df in SCIPY_DFS:
+            assert student_t_two_sided_p(0.0, df) == 1.0
+            assert student_t_two_sided_p(-0.0, df) == 1.0
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        # t = 2 at df 36 needs about 25 steps; one is never enough
+        monkeypatch.setattr(stats, "_CF_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            student_t_two_sided_p(2.0, 36)
+
+    @settings(max_examples=300, deadline=None)
+    @given(df=st.integers(1, 10**4),
+           t1=st.floats(-1e3, 1e3, allow_nan=False),
+           t2=st.floats(-1e3, 1e3, allow_nan=False))
+    def test_in_range_symmetric_and_falls_with_abs_t(self, df, t1, t2):
+        if abs(t2) < abs(t1):
+            t1, t2 = t2, t1
+        p1, p2 = student_t_two_sided_p(t1, df), student_t_two_sided_p(t2, df)
+        assert 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
+        assert p1 == student_t_two_sided_p(-t1, df)
+        assert p2 <= p1 * (1.0 + p_tolerance(df))
 
 
 class TestDesign:
