@@ -2,7 +2,7 @@
 simulator, with a factorial experiment runner and OLS effect analysis."""
 
 from .netsim import (BottleneckSpec, LinkSpec, SimConfig, Simulator,
-                     FlowCounters, IntervalStats, update_rtt_ewma,
+                     FlowCounters, update_rtt_ewma,
                      InvalidConfigError, CwndRangeError)
 from .env import (Action, EnvConfig, Env, Observation, StepResult,
                   compute_reward, normalize, EpisodeDoneError)

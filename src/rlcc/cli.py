@@ -243,13 +243,13 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc))
     rows = []
     for step in range(1, steps + 1):
-        st = sim.advance(interval)
+        throughput = sim.advance(interval)
         rows.append({
             "run_id": "simulate",
             "step": step,
             "cwnd": sim.cwnd,
-            "throughput_Bps": st.throughput_Bps,
-            "avg_rtt_ms": st.avg_rtt_ms,
+            "throughput_Bps": throughput,
+            "avg_rtt_ms": sim.counters().rtt_ewma_ms,
             "reward": None,
             "epsilon": None,
             "loss": None,

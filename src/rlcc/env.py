@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netsim import IntervalStats, SimConfig, Simulator
+from .netsim import SimConfig, Simulator
 
 #: Fixed normalization constants: cwnd, segment bytes, bytes sent, RTT ms,
 #: segments acked, throughput B/s.
@@ -62,16 +62,18 @@ class EnvConfig:
     episode_length: int = 200
 
     def validate(self) -> None:
-        if not 0 < self.decision_interval_ms < float("inf"):
-            raise ValueError("decision_interval_ms must be positive and finite")
+        # in seconds too: advance() divides by the interval in seconds
+        if not 0 < self.decision_interval_ms / 1000.0 < float("inf"):
+            raise ValueError("decision_interval_ms must be finite and "
+                             "positive in seconds")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
 
 
-def compute_reward(stats: IntervalStats, bottleneck_rate_bps: int) -> float:
+def compute_reward(throughput_Bps: float, bottleneck_rate_bps: int) -> float:
     """Interval throughput as a fraction of bottleneck capacity in [0, 1]."""
     capacity_Bps = bottleneck_rate_bps / 8.0
-    return min(1.0, max(0.0, stats.throughput_Bps / capacity_Bps))
+    return min(1.0, max(0.0, throughput_Bps / capacity_Bps))
 
 
 def normalize(obs: Observation) -> np.ndarray:
@@ -91,13 +93,13 @@ class Env:
         self._sim: Simulator | None = None
         self._step_count = 0
         self._done = True
-        self._last_stats: IntervalStats | None = None
+        self._throughput_Bps = 0.0
 
     def reset(self, seed: int) -> Observation:
         self._sim = Simulator(replace(self.cfg.sim, seed=seed))
         self._step_count = 0
         self._done = False
-        self._last_stats = None
+        self._throughput_Bps = 0.0
         return self._observe()
 
     def step(self, action: Action) -> StepResult:
@@ -105,25 +107,24 @@ class Env:
             raise EpisodeDoneError("episode is finished; call reset()")
         self._sim.set_cwnd(min(self.cfg.sim.cwnd_max,
                                max(1, self._sim.cwnd + Action(action).delta)))
-        stats = self._sim.advance(self.cfg.decision_interval_ms)
-        self._last_stats = stats
+        self._throughput_Bps = self._sim.advance(self.cfg.decision_interval_ms)
         self._step_count += 1
         self._done = self._step_count >= self.cfg.episode_length
         return StepResult(
             observation=self._observe(),
-            reward=compute_reward(stats, self.cfg.sim.bottleneck_link.rate_bps),
+            reward=compute_reward(self._throughput_Bps,
+                                  self.cfg.sim.bottleneck_link.rate_bps),
             done=self._done,
             step_index=self._step_count,
         )
 
     def _observe(self) -> Observation:
         c = self._sim.counters()
-        thr = self._last_stats.throughput_Bps if self._last_stats else 0.0
         return Observation(
             cwnd_segments=c.cwnd_segments,
             segment_bytes=self.cfg.sim.segment_bytes,
             bytes_sent_total=c.bytes_sent_total,
             avg_rtt_ms=c.rtt_ewma_ms,
             segments_acked_total=c.segments_acked_total,
-            throughput_Bps=thr,
+            throughput_Bps=self._throughput_Bps,
         )

@@ -1,6 +1,9 @@
 """Factorial experiment runner: design enumeration, seeded run execution,
 and per-run metrics (including the cwnd plateau detector).
 
+The design crosses the paper's fixed levels of depth, learning rate and
+channel error rate; the levels cannot be set.
+
 Every run is one 200-step online-training episode.  Seeds derive from
 (base_seed, cell, rep) via SHA-256, so the whole grid is reproducible and
 runs can execute in any order or in parallel.
@@ -10,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from statistics import mean
 
 import numpy as np
 
-from .dqn import DqnAgent, DqnConfig, Transition, TrainingDivergedError
+from .dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig, Transition,
+                  TrainingDivergedError)
 from .env import Action, Env, EnvConfig, normalize
 
 
@@ -26,14 +30,10 @@ class InvalidDesignError(ValueError):
 
 @dataclass(frozen=True)
 class FactorLevels:
-    layers: tuple = (2, 4, 8)
-    learning_rate: tuple = (0.01, 0.001)
-    error_rate: tuple = (0.0, 0.2)
-
-    def validate(self) -> None:
-        for name in ("layers", "learning_rate", "error_rate"):
-            if not getattr(self, name):
-                raise InvalidDesignError(f"empty level set for {name}")
+    """The paper's fixed levels; the depths are the ones DqnConfig allows."""
+    layers: tuple = field(default=ALLOWED_HIDDEN_COUNTS, init=False)
+    learning_rate: tuple = field(default=(0.01, 0.001), init=False)
+    error_rate: tuple = field(default=(0.0, 0.2), init=False)
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,9 @@ def enumerate_runs(factors: FactorLevels, reps: int = 10,
                    base_seed: int = 42) -> list[RunSpec]:
     """The full factorial design: every combination of the level sets,
     ordered cell-lexicographic then rep."""
-    factors.validate()
     if reps < 1:
         raise InvalidDesignError("reps must be >= 1")
-    cells = set(product(factors.layers, factors.learning_rate,
-                        factors.error_rate))
+    cells = product(factors.layers, factors.learning_rate, factors.error_rate)
     return [_make_spec(l, lr, e, rep, base_seed)
             for l, lr, e in sorted(cells) for rep in range(reps)]
 

@@ -92,15 +92,6 @@ class FlowCounters:
     cwnd_segments: int
 
 
-@dataclass(frozen=True)
-class IntervalStats:
-    acked_bytes: int
-    throughput_Bps: float
-    avg_rtt_ms: float
-    loss_events: int
-    interval_ms: float
-
-
 def validate_config(cfg: SimConfig) -> None:
     """Raise InvalidConfigError naming the first violated field."""
     for name, link in (("access_link", cfg.access_link),
@@ -236,14 +227,15 @@ class Simulator:
         self.cwnd = segments
         self._try_send((self.now, math.inf, math.inf))
 
-    def advance(self, interval_ms: float) -> IntervalStats:
+    def advance(self, interval_ms: float) -> float:
         """Process all events up to now + interval_ms and return the
-        interval's stats."""
-        if not 0 < interval_ms < math.inf:
-            raise ValueError("interval_ms must be positive and finite")
+        interval's throughput in bytes per second."""
+        interval_s = interval_ms / 1000.0
+        if not 0 < interval_s < math.inf:
+            raise ValueError("interval_ms must be finite and positive in "
+                             "seconds")
         t_end = self.now + interval_ms
         acked_before = self.segments_acked_total
-        drops_before = self.drops_error + self.drops_queue
 
         heap = self._heap
         handlers = (self._on_snd_ready, self._on_ack_arrive, self._on_rto_fire)
@@ -257,15 +249,8 @@ class Simulator:
             setattr(self, name, getattr(self, name) + n)
             del times[:n]
 
-        acked_bytes = (self.segments_acked_total - acked_before) \
-            * self.cfg.segment_bytes
-        return IntervalStats(
-            acked_bytes=acked_bytes,
-            throughput_Bps=acked_bytes / (interval_ms / 1000.0),
-            avg_rtt_ms=self.rtt_ewma_ms if self.rtt_ewma_ms is not None else 0.0,
-            loss_events=self.drops_error + self.drops_queue - drops_before,
-            interval_ms=interval_ms,
-        )
+        return (self.segments_acked_total - acked_before) \
+            * self.cfg.segment_bytes / interval_s
 
     # -- sender ------------------------------------------------------------
 

@@ -42,8 +42,8 @@ class SingularDesignError(ValueError):
 def _coding(levels) -> dict:
     """Sorted levels by index onto evenly spaced points of [-1, +1]."""
     levels = sorted(levels)
-    span = max(len(levels) - 1, 1)
-    return {level: 2.0 * i / span - 1.0 for i, level in enumerate(levels)}
+    return {level: 2.0 * i / (len(levels) - 1) - 1.0
+            for i, level in enumerate(levels)}
 
 
 #: factor -> {level: coded}, derived from the experiment's declared levels.

@@ -3,8 +3,8 @@ computed before its forward path became arithmetic.
 
 Every hop of every segment is a heap event ordered by (timestamp, insertion
 sequence).  ``tests/test_netsim_differential.py`` runs it side by side with
-``rlcc.netsim.Simulator`` and requires equal stats and counters after every
-call.  Kept as it was; only ``validate_config`` and the dataclasses come from
+``rlcc.netsim.Simulator`` and requires equal throughput and counters after
+every call.  Kept as it was; only ``validate_config`` and the dataclasses come from
 the package.
 """
 
@@ -14,8 +14,8 @@ import heapq
 import random
 from collections import deque
 
-from rlcc.netsim import (CwndRangeError, FlowCounters, IntervalStats,
-                         SimConfig, update_rtt_ewma, validate_config)
+from rlcc.netsim import (CwndRangeError, FlowCounters, SimConfig,
+                         update_rtt_ewma, validate_config)
 
 
 # Event kinds, dispatched in _dispatch.
@@ -115,14 +115,13 @@ class ReferenceSimulator:
         self.cwnd = segments
         self._try_send()
 
-    def advance(self, interval_ms: float) -> IntervalStats:
+    def advance(self, interval_ms: float) -> float:
         """Process all events up to now + interval_ms and return the
-        interval's stats."""
+        interval's throughput in bytes per second."""
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         t_end = self.now + interval_ms
         acked_before = self.segments_acked_total
-        drops_before = self.drops_error + self.drops_queue
 
         heap = self._heap
         while heap and heap[0][0] <= t_end:
@@ -131,15 +130,8 @@ class ReferenceSimulator:
             self._dispatch(kind, payload)
         self.now = t_end
 
-        acked_bytes = (self.segments_acked_total - acked_before) \
-            * self.cfg.segment_bytes
-        return IntervalStats(
-            acked_bytes=acked_bytes,
-            throughput_Bps=acked_bytes / (interval_ms / 1000.0),
-            avg_rtt_ms=self.rtt_ewma_ms if self.rtt_ewma_ms is not None else 0.0,
-            loss_events=self.drops_error + self.drops_queue - drops_before,
-            interval_ms=interval_ms,
-        )
+        return (self.segments_acked_total - acked_before) \
+            * self.cfg.segment_bytes / (interval_ms / 1000.0)
 
     # -- event machinery ---------------------------------------------------
 

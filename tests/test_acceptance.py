@@ -82,7 +82,7 @@ def test_capacity_saturation():
     t0 = time.monotonic()
     sim = Simulator(SimConfig(seed=42))
     sim.set_cwnd(64)
-    thr = sim.advance(5000.0).throughput_Bps
+    thr = sim.advance(5000.0)
     elapsed = time.monotonic() - t0
     ok = abs(thr - 250_000) <= 0.02 * 250_000 and elapsed < 1.0
     _check("capacity saturation (cwnd=64 within 2% of 250000 B/s, <1s)",
@@ -92,7 +92,7 @@ def test_capacity_saturation():
 def test_hand_trace_oracle():
     t0 = time.monotonic()
     sim = Simulator(SimConfig(seed=42))
-    thr = sim.advance(5000.0).throughput_Bps
+    thr = sim.advance(5000.0)
     elapsed = time.monotonic() - t0
     # one segment per 19.824 ms round trip -> 50444 B/s; the published
     # approximation 50400 sits inside the same 1% band

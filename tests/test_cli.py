@@ -199,6 +199,13 @@ class TestInvalidInput:
          "--override", "env.decision_interval_ms=0.01"),
         ("baseline", "--override", "env.decision_interval_ms=50001"),
         ("grid", "--reps", "1", "--override", "env.decision_interval_ms=1e12"),
+        # positive in ms but 0 in seconds, and within the step budget
+        ("train", "--override", "env.decision_interval_ms=5e-324"),
+        ("baseline", "--override", "env.decision_interval_ms=5e-324"),
+        ("grid", "--reps", "1", "--jobs", "1",
+         "--override", "env.decision_interval_ms=5e-324"),
+        ("simulate", "--duration-ms", "1e-321",
+         "--override", "env.decision_interval_ms=5e-324"),
         # channel error is a bottleneck field only
         ("simulate", "--override", "sim.access_link.loss_prob=0.5"),
         # the agent's window range is the simulator's [1, sim.cwnd_max]

@@ -5,12 +5,7 @@ import pytest
 
 from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, EpisodeDoneError,
                       Observation, compute_reward, normalize)
-from rlcc.netsim import BottleneckSpec, IntervalStats, SimConfig
-
-
-def stats_with_throughput(thr):
-    return IntervalStats(acked_bytes=int(thr / 10), throughput_Bps=thr,
-                         avg_rtt_ms=20.0, loss_events=0, interval_ms=100.0)
+from rlcc.netsim import BottleneckSpec, SimConfig
 
 
 class TestAction:
@@ -27,14 +22,13 @@ class TestAction:
 
 class TestReward:
     def test_half_capacity(self):
-        assert compute_reward(stats_with_throughput(125_000.0), 2_000_000) \
-            == pytest.approx(0.5)
+        assert compute_reward(125_000.0, 2_000_000) == pytest.approx(0.5)
 
     def test_clamped_to_one(self):
-        assert compute_reward(stats_with_throughput(300_000.0), 2_000_000) == 1.0
+        assert compute_reward(300_000.0, 2_000_000) == 1.0
 
     def test_zero_floor(self):
-        assert compute_reward(stats_with_throughput(0.0), 2_000_000) == 0.0
+        assert compute_reward(0.0, 2_000_000) == 0.0
 
 
 class TestNormalization:

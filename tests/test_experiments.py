@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rlcc.dqn import DqnAgent, DqnConfig
+from rlcc.dqn import ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
 from rlcc.experiments import (FactorLevels, InvalidDesignError, RunSpec,
                               convergence_step, derive_seed, enumerate_runs,
@@ -80,9 +80,12 @@ class TestEnumerateRuns:
         with pytest.raises(InvalidDesignError):
             enumerate_runs(FactorLevels(), **kw)
 
-    def test_empty_levels_rejected(self):
-        with pytest.raises(InvalidDesignError):
-            enumerate_runs(FactorLevels(layers=()))
+    def test_levels_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            FactorLevels(layers=(2,))
+
+    def test_depths_are_the_allowed_hidden_counts(self):
+        assert FactorLevels().layers is ALLOWED_HIDDEN_COUNTS
 
 
 class TestConvergenceStep:

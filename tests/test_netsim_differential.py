@@ -4,7 +4,9 @@ reference it replaced (tests/reference_netsim.py).
 Configs mix "round" values, under which events of different hops land on
 the same timestamp and only the tie order decides what happens, with
 arbitrary ones.  After every call the two simulators must agree exactly:
-interval stats, flow counters and in-flight count, compared with ``==``.
+the interval throughput ``advance`` returns, the flow counters (which hold
+the RTT average and the drops), the in-flight count and the clock, compared
+with ``==``.
 """
 
 from hypothesis import example, given, settings, strategies as st
