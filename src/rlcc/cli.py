@@ -13,6 +13,9 @@ Configuration is a flat key=value file with dotted namespaces
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers, integers
 outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget are rejected.
+Keys that a command validates but does not read (simulate: dqn.* and
+env.episode_length; baseline: dqn.* but for the two factor keys) are named in
+one stderr warning line, and the command runs as without them.
 analyze reads no configuration (its flags are --runs, --factors, --response and
 --out-dir) and prints each cell's kept and dropped run counts to stderr.
 --out-dir is created before a command starts; CSVs are written atomically,
@@ -113,6 +116,15 @@ FACTOR_KEYS = {"layers": "dqn.hidden_count",
                "learning_rate": "dqn.learning_rate",
                "error_rate": "sim.bottleneck_link.loss_prob"}
 
+_DQN_KEYS = {key for key in CONFIG_KEYS if key.startswith("dqn.")}
+#: Keys a command validates but never reads.  A config file shared across
+#: subcommands may set them, so the command names them instead of failing.
+UNREAD_KEYS = {
+    "simulate": _DQN_KEYS | {"env.episode_length"},
+    "baseline": _DQN_KEYS - {FACTOR_KEYS["layers"],
+                             FACTOR_KEYS["learning_rate"]},
+}
+
 
 def parse_config_file(path: str) -> dict[str, str]:
     settings: dict[str, str] = {}
@@ -163,6 +175,14 @@ def build_configs(settings: dict[str, str]):
     except (InvalidConfigError, ValueError) as exc:
         raise CliError(str(exc))
     return sim_cfg, env_cfg, dqn_cfg
+
+
+def report_unread(command: str, settings: dict[str, str]) -> None:
+    """Name on stderr the given settings that ``command`` does not read."""
+    unread = sorted(UNREAD_KEYS.get(command, set()).intersection(settings))
+    if unread:
+        print(f"warning: {command} ignores {', '.join(unread)}",
+              file=sys.stderr)
 
 
 def check_budget(steps: float, interval_ms: float) -> None:
@@ -227,7 +247,9 @@ def record_to_row(rec: experiments.RunRecord) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    sim_cfg, env_cfg, _ = build_configs(gather_settings(args))
+    settings = gather_settings(args)
+    sim_cfg, env_cfg, _ = build_configs(settings)
+    report_unread("simulate", settings)
     sim_cfg = replace(sim_cfg, seed=args.base_seed)
     duration_ms = _parse("--duration-ms", finite_float, args.duration_ms)
     if duration_ms <= 0:
@@ -272,7 +294,9 @@ def cmd_simulate(args) -> int:
 def cmd_single_run(args) -> int:
     """train (online DQN) or baseline (uniform-random actions): one episode."""
     policy = args.subcommand
-    _, env_cfg, dqn_cfg = build_configs(gather_settings(args))
+    settings = gather_settings(args)
+    _, env_cfg, dqn_cfg = build_configs(settings)
+    report_unread(policy, settings)
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
     layers, lr = dqn_cfg.hidden_count, dqn_cfg.learning_rate
     error_rate = env_cfg.sim.bottleneck_link.loss_prob

@@ -13,13 +13,18 @@ uncongested reverse path with fixed latency and are never lost.  Un-ACKed
 segments retransmit a fixed RTO after each (re)transmission; RTT samples
 follow Karn's rule (never-retransmitted segments only) and feed an EWMA.
 
-Heap events are the sender link, ACK arrivals, one armed retransmission
-timer and a kick of an idle sender.  Later hops are FIFO with fixed service
-times, so a transmission's fate is computed when it starts, with the sums an
-event per hop would take, in the order an event per hop would take them
-(time, then the times of the events that led to it, then insertion).  All
-randomness flows from the per-instance seeded PRNG: equal configs and call
-sequences give bit-identical results.
+Heap events are ACK arrivals, one armed retransmission timer and the sender
+link's finish, which enters the heap only when a segment waits for it.  An
+idle link's finish is kept aside: a segment enqueued before it pushes it, one
+enqueued after it kicks the link instead.  The kick waits in a slot of its
+own, and ``advance`` takes it without a heap push whenever it is the next
+event, so a clean flow costs about one heap push per delivered segment.
+Later hops are FIFO with fixed service times, so a transmission's fate is
+computed when it starts, with the sums an event per hop would take, in the
+order an event per hop would take them (time, then the times of the events
+that led to it, then insertion).  All randomness flows from the
+per-instance seeded PRNG: equal configs and call sequences give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -175,8 +180,12 @@ class Simulator:
         self._last_acked = -1
         self._unacked: dict[int, _Segment] = {}
 
-        # At most one _SND_READY is in the heap: a finish or a kick.
+        # At most one _SND_READY is pending: a finish in the heap or a kick
+        # in _kick.  An idle link keeps its last finish in _snd_done, which
+        # is pushed if a segment is enqueued before it in event order.
         self._snd_ready_pending = False
+        self._snd_done: tuple = (-math.inf,)
+        self._kick: tuple | None = None
         self._snd_queue: deque[int] = deque()
         # Keys of the bottleneck departures still ahead, the one in service
         # first, and of the receiver link's latest departure.
@@ -239,8 +248,17 @@ class Simulator:
 
         heap = self._heap
         handlers = (self._on_snd_ready, self._on_ack_arrive, self._on_rto_fire)
-        while heap and heap[0][0] <= t_end:
-            ev = heapq.heappop(heap)
+        while True:
+            # A kick is never later than t_end; heappushpop hands it back
+            # untouched when it is the next event.
+            kick = self._kick
+            if kick is not None:
+                self._kick = None
+                ev = heapq.heappushpop(heap, kick)
+            elif heap and heap[0][0] <= t_end:
+                ev = heapq.heappop(heap)
+            else:
+                break
             self.now = ev[0]
             handlers[ev[5]](ev)
         self.now = t_end
@@ -269,9 +287,15 @@ class Simulator:
         self._snd_queue.append(seq)
         if not self._snd_ready_pending:
             self._snd_ready_pending = True
-            self._evseq += 1
-            heapq.heappush(self._heap, (self.now, ev[0], ev[1], ev[2],
-                                        self._evseq, _SND_READY, None))
+            # The kept finish is still ahead of ev in event order (for a call
+            # from outside, done[0] > now): the busy link takes the segment
+            # when it finishes.  Otherwise the idle link is kicked.
+            if self._snd_done > ev:
+                heapq.heappush(self._heap, self._snd_done)
+            else:
+                self._evseq += 1
+                self._kick = (self.now, ev[0], ev[1], ev[2], self._evseq,
+                              _SND_READY, None)
 
     def _on_snd_ready(self, ev: tuple) -> None:
         """The sender link finished a segment, or an idle one is kicked."""
@@ -281,7 +305,6 @@ class Simulator:
             seg = self._unacked.get(seq)
             if seg is None:
                 continue  # retransmission that was queued but acked meanwhile
-            self._snd_ready_pending = True
             now, p1, p2 = ev[0], ev[1], ev[2]
             self.bytes_sent_total += self.cfg.segment_bytes
             if seg.first_send_ms < 0:
@@ -297,7 +320,10 @@ class Simulator:
                 heapq.heappush(self._heap, timer)
             done = (now + self._ser_access_ms, now, p1, p2, self._evseq,
                     _SND_READY, None)
-            heapq.heappush(self._heap, done)
+            self._snd_done = done
+            if self._snd_queue:
+                self._snd_ready_pending = True
+                heapq.heappush(self._heap, done)
             self._forward(seq, done)
             return
 

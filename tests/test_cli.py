@@ -294,6 +294,26 @@ class TestAtomicCsv:
         assert os.listdir(tmp_path) == ["out.csv"]
 
 
+def assert_unread_keys_named(tmp_path, capsys, argv, read, unread):
+    """With `unread` added to a config file of `read` keys, the command
+    writes the same exit code, stdout and CSVs, and names exactly the
+    unread keys in one stderr line."""
+    results = []
+    for name, settings in (("read", read), ("both", {**read, **unread})):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        out = tmp_path / name
+        code = run_cli(*argv, "--config", str(cfg), "--out-dir", str(out))
+        captured = capsys.readouterr()
+        csvs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((code, captured.out, csvs, captured.err))
+    (code, out, csvs, err), (code2, out2, csvs2, err2) = results
+    assert code == code2 == 0
+    assert (out2, csvs2) == (out, csvs)
+    assert err == ""
+    assert err2 == f"warning: {argv[0]} ignores {', '.join(sorted(unread))}\n"
+
+
 class TestSimulate:
     def test_steps_csv_schema_and_summary(self, tmp_path, capsys):
         code = run_cli("simulate", "--cwnd", "64", "--duration-ms", "3000",
@@ -315,6 +335,13 @@ class TestSimulate:
     def test_unknown_override_exits_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--override", "sim.what=1",
                        "--out-dir", str(tmp_path)) == 2
+
+    def test_unread_keys_named_on_stderr(self, tmp_path, capsys):
+        assert_unread_keys_named(
+            tmp_path, capsys, ["simulate", "--duration-ms", "2000"],
+            read={"sim.rto_ms": "900"},
+            unread={"dqn.gamma": "0.5", "dqn.hidden_count": "8",
+                    "env.episode_length": "3"})
 
 
 class TestTrainAndBaseline:
@@ -382,6 +409,15 @@ class TestTrainAndBaseline:
         assert code == 0
         steps = read_csv(tmp_path / "steps.csv")
         assert all(r[6] == "" and r[7] == "" for r in steps[1:])
+
+    def test_baseline_unread_keys_named_on_stderr(self, tmp_path, capsys):
+        # the two factor keys are read: they name the run's cell and seed
+        assert_unread_keys_named(
+            tmp_path, capsys, ["baseline", "--error-rate", "0.2"],
+            read={"env.episode_length": "40", "dqn.hidden_count": "4",
+                  "dqn.learning_rate": "0.001"},
+            unread={"dqn.gamma": "0.5", "dqn.batch_size": "16",
+                    "dqn.epsilon_decay": "0.9"})
 
 
 class TestGrid:

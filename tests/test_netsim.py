@@ -1,3 +1,4 @@
+import heapq
 import math
 import statistics
 from dataclasses import replace
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
+from rlcc import netsim
 from rlcc.env import EnvConfig
 from rlcc.netsim import (BottleneckSpec, CwndRangeError, InvalidConfigError,
                          LinkSpec, SimConfig, Simulator, update_rtt_ewma)
@@ -160,6 +162,37 @@ class TestAdvance:
         sim.set_cwnd(64)  # initial burst overruns the 5-slot queue
         sim.advance(100.0)
         assert sim.counters().drops_queue > 0
+
+    def test_about_one_heap_push_per_acked_segment(self, monkeypatch):
+        # A clean flow pushes each ACK; an idle link's finish stays out of
+        # the heap and its kick is handed back by heappushpop.  The count
+        # is deterministic (1.016 here; 3.015 with a push per finish).
+        pushes = 0
+
+        class CountingHeapq:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, item):
+                nonlocal pushes
+                pushes += 1
+                heapq.heappush(heap, item)
+
+            @staticmethod
+            def heappushpop(heap, item):
+                nonlocal pushes
+                out = heapq.heappushpop(heap, item)
+                pushes += out is not item
+                return out
+
+        monkeypatch.setattr(netsim, "heapq", CountingHeapq)
+        sim = Simulator(SimConfig(seed=7))
+        sim.set_cwnd(64)
+        for _ in range(500):
+            sim.advance(100.0)
+        acked = sim.counters().segments_acked_total
+        assert acked > 12_000
+        assert pushes <= 1.02 * acked
 
 
 class TestRttEwma:

@@ -88,6 +88,21 @@ HEAP_TIE = SimConfig(access_link=LinkSpec(10_000_000, 0.0),
                      segment_bytes=500, queue_capacity_segments=1,
                      rto_ms=1.0, seed=787615)
 
+# An idle sender link keeps its finish out of the heap until a segment is
+# enqueued before it in event order.  Here 1000-byte segments take 0.5 ms on
+# the sender link and ACKs take 0.5 ms to return, so ACKs arrive as the link
+# finishes and tie with the finish in three fields, after it by the fourth;
+# the 6 ms timers also fire as the link finishes, before it by their parent
+# fields.
+FINISH_TIE = SimConfig(access_link=LinkSpec(16_000_000, 0.0),
+                       bottleneck_link=BottleneckSpec(8_000_000, 0.0, 0.05),
+                       segment_bytes=1000, ack_bytes=250,
+                       queue_capacity_segments=1, rto_ms=6.0,
+                       seed=3651825266)
+# 500-byte segments take 1 ms on the sender link, so the calls below find its
+# last finish at now, after now and before now.
+IDLE_LINK = SimConfig(access_link=LinkSpec(4_000_000, 1.0), segment_bytes=500)
+
 
 @settings(max_examples=300, deadline=None)
 @given(cfg=sim_configs(), sequence=calls)
@@ -98,6 +113,10 @@ HEAP_TIE = SimConfig(access_link=LinkSpec(10_000_000, 0.0),
 @example(cfg=ARRIVAL_FIRST, sequence=[("cwnd", 178), ("advance", 250.0)])
 @example(cfg=DEPARTURE_FIRST, sequence=[
     ("cwnd", 62), ("advance", 1.0), ("advance", 159.75363272187582)])
+@example(cfg=FINISH_TIE, sequence=[("cwnd", 3), ("advance", 100.0)])
+@example(cfg=IDLE_LINK, sequence=[
+    ("advance", 1.0), ("cwnd", 2), ("advance", 0.5), ("cwnd", 3),
+    ("advance", 2.5), ("cwnd", 4), ("advance", 100.0)])
 def test_matches_event_per_hop_reference(cfg, sequence):
     new, ref = Simulator(cfg), ReferenceSimulator(cfg)
     assert_same_state(new, ref)
