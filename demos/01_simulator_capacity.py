@@ -5,7 +5,7 @@ stop-and-wait flow, a window large enough to saturate the 2 Mbps
 bottleneck, and the same saturating window on a 20% lossy channel.
 """
 
-from rlcc import BottleneckSpec, SimConfig, Simulator
+from rlcc.netsim import BottleneckSpec, SimConfig, Simulator
 from dataclasses import replace
 
 CAPACITY_BPS = 250_000  # 2 Mbps / 8

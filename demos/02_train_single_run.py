@@ -7,7 +7,8 @@ throughput as a fraction of bottleneck capacity.
 
 import statistics
 
-from rlcc import DqnConfig, EnvConfig
+from rlcc.dqn import DqnConfig
+from rlcc.env import EnvConfig
 from rlcc.experiments import RunSpec, derive_seed, execute_run
 
 

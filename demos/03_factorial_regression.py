@@ -10,7 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from rlcc import DqnConfig, EnvConfig
+from rlcc.dqn import DqnConfig
+from rlcc.env import EnvConfig
 from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
 from rlcc.stats import code_level, make_interaction_design, ols_fit, render_table
 

@@ -17,12 +17,15 @@ Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
 analyze reads no configuration (its flags are --runs, --factors, --response and
---out-dir) and prints each cell's kept and dropped run counts to stderr.
+--out-dir) and prints each cell's kept and dropped run counts to stderr; it
+refuses a cell that keeps unequal run counts at the pooled third factor's
+levels.  grid starts at most one worker per usable CPU.
 --out-dir is created before a command starts; CSVs are written atomically,
 and every output is fully determined by --base-seed.
 
 Exit codes: 0 success, 2 invalid input (including a configuration too large
-to allocate), 3 training divergence (train), 4 partial grid failure.
+to allocate or an unbalanced fit), 3 training divergence (train), 4 partial
+grid failure.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, is_dataclass, replace
 
 from . import experiments, stats
 from .dqn import DqnConfig
 from .env import EnvConfig
+from .experiments import STEPS_HEADER
 from .netsim import InvalidConfigError, SimConfig, Simulator, validate_config
 
 EXIT_OK = 0
@@ -50,14 +55,12 @@ EXIT_PARTIAL = 4
 MAX_SIM_MS = 1e7
 MAX_STEPS = 100_000
 
-STEPS_HEADER = ["run_id", "step", "cwnd", "throughput_Bps", "avg_rtt_ms",
-                "reward", "epsilon", "loss"]
-RUNS_HEADER = ["run_id", "layers", "learning_rate", "error_rate", "rep",
-               "seed", "avg_throughput_Bps", "max_throughput_Bps",
-               "convergence_step", "cumulative_reward", "final_cwnd",
-               "diverged"]
-REGRESSION_HEADER = ["term", "influence", "coefficient", "std_error",
-                     "t_value", "p_value"]
+#: runs.csv: the RunSpec fields, then the record's metrics without the
+#: wall time, which varies from run to run.
+RUNS_HEADER = [f.name for f in fields(experiments.RunSpec)] + [
+    f.name for f in fields(experiments.RunRecord)
+    if f.name not in ("spec", "wall_time_ms")]
+REGRESSION_HEADER = [f.name for f in fields(stats.RegressionRow)]
 
 
 class CliError(Exception):
@@ -266,16 +269,9 @@ def cmd_simulate(args) -> int:
     rows = []
     for step in range(1, steps + 1):
         throughput = sim.advance(interval)
-        rows.append({
-            "run_id": "simulate",
-            "step": step,
-            "cwnd": sim.cwnd,
-            "throughput_Bps": throughput,
-            "avg_rtt_ms": sim.counters().rtt_ewma_ms,
-            "reward": None,
-            "epsilon": None,
-            "loss": None,
-        })
+        rows.append(dict(zip(STEPS_HEADER, (
+            "simulate", step, sim.cwnd, throughput,
+            sim.counters().rtt_ewma_ms, None, None, None))))
     counters = sim.counters()
     duration_s = steps * interval / 1000.0
     throughput = counters.segments_acked_total * sim_cfg.segment_bytes / duration_s
@@ -347,9 +343,12 @@ def cmd_grid(args) -> int:
     except experiments.InvalidDesignError as exc:
         raise CliError(str(exc))
     jobs = [(spec, env_cfg, dqn_cfg) for spec in specs]
-    # A pool starts all its workers at once, so never more than there are
-    # runs; one run per task lets a free worker take the next run.
-    workers = min(args.jobs or os.cpu_count() or 1, len(jobs))
+    # A pool starts all its workers at once, so never more than the CPUs
+    # this process may run on or the runs; one run per task lets a free
+    # worker take the next run.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs or cpus, cpus, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_worker, jobs, chunksize=1))
@@ -375,6 +374,10 @@ def _parse_runs_csv(path: str) -> list[dict]:
         raise CliError(f"cannot read runs file: {exc}") from exc
 
 
+def _labels(names, values) -> str:
+    return " ".join(f"{n}={v}" for n, v in zip(names, values))
+
+
 def cmd_analyze(args) -> int:
     factor_names = [f.strip() for f in args.factors.split(",")]
     if len(factor_names) != 2:
@@ -382,7 +385,10 @@ def cmd_analyze(args) -> int:
     rows = _parse_runs_csv(args.runs)
     if not rows:
         raise CliError(f"{args.runs} contains no runs")
-    for column in (*factor_names, args.response, "diverged"):
+    # the design factors the fit pools its runs over
+    pooled = [f.name for f in fields(experiments.FactorLevels)
+              if f.name not in factor_names]
+    for column in (*factor_names, *pooled, args.response, "diverged"):
         if column not in rows[0]:
             raise CliError(f"column {column!r} missing from {args.runs}")
     kept, counts = [], {}   # cell (raw factor cells) -> [kept, dropped]
@@ -408,6 +414,17 @@ def cmd_analyze(args) -> int:
         if len(set(coded[name])) < 2:
             raise CliError(f"factor {name!r} needs at least two levels in the data")
     y = cells(args.response)
+    # Each fitted cell must keep as many runs at every pooled level, or its
+    # mean weighs the pooled levels unequally.
+    pools = dict.fromkeys(tuple(r[name] for name in pooled) for r in rows)
+    kept_at = Counter((tuple(r[name] for name in factor_names),
+                       tuple(r[name] for name in pooled)) for _, r in kept)
+    for cell in counts:
+        if len({kept_at[cell, pool] for pool in pools}) > 1:
+            raise CliError(f"unbalanced fit: cell {_labels(factor_names, cell)}"
+                           " keeps " + ", ".join(
+                               f"{_labels(pooled, pool)}: {kept_at[cell, pool]}"
+                               for pool in pools))
     X, names = stats.make_interaction_design(
         coded[factor_names[0]], coded[factor_names[1]],
         factor_names[0], factor_names[1])
@@ -416,9 +433,8 @@ def cmd_analyze(args) -> int:
     except (stats.SingularDesignError, ValueError) as exc:
         raise CliError(str(exc))
     for cell, (n_kept, n_dropped) in counts.items():
-        levels = " ".join(f"{n}={v}" for n, v in zip(factor_names, cell))
-        print(f"cell {levels}: kept {n_kept}, dropped {n_dropped}",
-              file=sys.stderr)
+        print(f"cell {_labels(factor_names, cell)}: kept {n_kept}, "
+              f"dropped {n_dropped}", file=sys.stderr)
     write_csv_atomic(os.path.join(args.out_dir, "regression.csv"),
                      REGRESSION_HEADER, [asdict(row) for row in table])
     print(stats.render_table(table))

@@ -6,7 +6,8 @@ channel error rate; the levels cannot be set.
 
 Every run is one 200-step online-training episode.  Seeds derive from
 (base_seed, cell, rep) via SHA-256, so the whole grid is reproducible and
-runs can execute in any order or in parallel.
+runs can execute in any order or in parallel.  A run's trace rows are keyed
+by STEPS_HEADER, the steps.csv column list.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class RunRecord:
     diverged: bool
     wall_time_ms: int
 
+
+#: steps.csv's columns: one row per decision step, keyed by these names.
+STEPS_HEADER = ["run_id", "step", "cwnd", "throughput_Bps", "avg_rtt_ms",
+                "reward", "epsilon", "loss"]
 
 #: Plateau detector: moving-average window (steps) and band half-width
 #: as a fraction of the plateau.
@@ -175,16 +180,10 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 diverged = True
         state = next_state
         obs = result.observation
-        trace.append({
-            "run_id": spec.run_id,
-            "step": result.step_index,
-            "cwnd": obs.cwnd_segments,
-            "throughput_Bps": obs.throughput_Bps,
-            "avg_rtt_ms": obs.avg_rtt_ms,
-            "reward": result.reward,
-            "epsilon": epsilon,
-            "loss": loss,
-        })
+        trace.append(dict(zip(STEPS_HEADER, (
+            spec.run_id, result.step_index, obs.cwnd_segments,
+            obs.throughput_Bps, obs.avg_rtt_ms, result.reward, epsilon,
+            loss))))
         if diverged:
             break
 

@@ -61,16 +61,13 @@ class BottleneckSpec(LinkSpec):
     loss_prob: float = 0.0
 
 
-#: Access links host<->router, both sides identical.
-DEFAULT_ACCESS = LinkSpec(rate_bps=10_000_000, prop_delay_ms=1.0)
-#: Router<->router link; the 2 Mbps bottleneck caps throughput at 250000 B/s.
-DEFAULT_BOTTLENECK = BottleneckSpec(rate_bps=2_000_000, prop_delay_ms=5.0)
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    access_link: LinkSpec = DEFAULT_ACCESS
-    bottleneck_link: BottleneckSpec = DEFAULT_BOTTLENECK
+    # Access links host<->router, both sides identical.
+    access_link: LinkSpec = LinkSpec(rate_bps=10_000_000, prop_delay_ms=1.0)
+    # Router<->router link; the 2 Mbps bottleneck caps throughput at 250000 B/s.
+    bottleneck_link: BottleneckSpec = BottleneckSpec(rate_bps=2_000_000,
+                                                     prop_delay_ms=5.0)
     segment_bytes: int = 1000
     ack_bytes: int = 40
     # Sized so the whole reachable cwnd range [1, cwnd_max] is queue-drop free

@@ -53,9 +53,11 @@ def set_cell(column, value):
     return edit
 
 
-def drop_diverged_column(table):
-    for row in table:
-        del row[RUNS_HEADER.index("diverged")]
+def drop_column(column):
+    def edit(table):
+        for row in table:
+            del row[RUNS_HEADER.index(column)]
+    return edit
 
 
 def truncate_row(table):
@@ -69,7 +71,9 @@ MALFORMED_RUNS = {
     "nan response": set_cell("avg_throughput_Bps", "nan"),
     "inf response": set_cell("avg_throughput_Bps", "-inf"),
     "unknown diverged flag": set_cell("diverged", "yes"),
-    "no diverged column": drop_diverged_column,
+    "no diverged column": drop_column("diverged"),
+    # the pooled factor of the default --factors error_rate,layers
+    "no pooled column": drop_column("learning_rate"),
     "short row": truncate_row,
     "undecodable byte": set_cell("layers", "\xff"),
     # one character over the csv module's default field size limit
@@ -314,6 +318,21 @@ def assert_unread_keys_named(tmp_path, capsys, argv, read, unread):
     assert err2 == f"warning: {argv[0]} ignores {', '.join(sorted(unread))}\n"
 
 
+def test_csv_column_lists():
+    # the headers derive from dataclass fields; reordering a field must not
+    # silently reorder a CSV
+    assert STEPS_HEADER == ["run_id", "step", "cwnd", "throughput_Bps",
+                            "avg_rtt_ms", "reward", "epsilon", "loss"]
+    assert RUNS_HEADER == ["run_id", "layers", "learning_rate", "error_rate",
+                           "rep", "seed", "avg_throughput_Bps",
+                           "max_throughput_Bps", "convergence_step",
+                           "cumulative_reward", "final_cwnd", "diverged"]
+    assert REGRESSION_HEADER == ["term", "influence", "coefficient",
+                                 "std_error", "t_value", "p_value"]
+    assert all(type(header) is list
+               for header in (STEPS_HEADER, RUNS_HEADER, REGRESSION_HEADER))
+
+
 class TestSimulate:
     def test_steps_csv_schema_and_summary(self, tmp_path, capsys):
         code = run_cli("simulate", "--cwnd", "64", "--duration-ms", "3000",
@@ -472,14 +491,27 @@ class TestGrid:
                 pools[-1]["chunksize"] = chunksize
                 return map(fn, iterable)
 
+        def usable_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+        # runs < CPUs: one worker per run
+        usable_cpus(16)
         assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "64",
                        "--out-dir", str(pooled)) == 0
         assert pools == [{"max_workers": 12, "chunksize": 1}]
+        # --jobs > CPUs, and no --jobs: one worker per CPU
+        usable_cpus(3)
+        for jobs in (["--jobs", "64"], []):
+            assert run_cli("grid", *FAST, "--reps", "1", *jobs,
+                           "--out-dir", str(tmp_path / "capped")) == 0
+            assert pools[-1] == {"max_workers": 3, "chunksize": 1}
         assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "1",
                        "--out-dir", str(serial)) == 0
-        assert len(pools) == 1
+        assert len(pools) == 3
         for name in ("runs.csv", "steps.csv"):
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
 
@@ -553,6 +585,25 @@ class TestAnalyze:
             run_cli("analyze", "--runs", str(tmp_path / "runs.csv"), *flag,
                     "--out-dir", str(tmp_path))
         assert exc.value.code == 2
+
+    def test_unbalanced_fit_exits_2(self, runs_csv, tmp_path, capsys):
+        # every depth-8 run at lr 0.01 diverged: the depth-8 cells keep
+        # only lr 0.001 runs, so their means would not pool over lr
+        table = read_csv(runs_csv)
+        layers, lr, diverged = (RUNS_HEADER.index(name) for name in
+                                ("layers", "learning_rate", "diverged"))
+        for row in table[1:]:
+            if row[layers] == "8" and row[lr] == "0.01":
+                row[diverged] = "true"
+        with open(runs_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        out_dir = tmp_path / "out"
+        assert run_cli("analyze", "--runs", str(runs_csv),
+                       "--out-dir", str(out_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unbalanced fit: cell error_rate=0.0 layers=8 keeps "
+            "learning_rate=0.001: 2, learning_rate=0.01: 0"]
+        assert not (out_dir / "regression.csv").exists()
 
     def test_handwritten_runs_csv_fits(self, tmp_path, capsys):
         write_runs_csv(tmp_path / "runs.csv")

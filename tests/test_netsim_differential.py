@@ -30,19 +30,41 @@ def delays():
 
 @st.composite
 def sim_configs(draw):
-    access = LinkSpec(draw(rates()), draw(delays()))
-    bottleneck = BottleneckSpec(draw(rates()), draw(delays()),
-                                draw(st.sampled_from(LOSS_PROBS)))
-    # validate_config requires rto_ms > 4x the one-way propagation delay
-    floor_ms = 4 * (2 * access.prop_delay_ms + bottleneck.prop_delay_ms)
-    margin_ms = draw(st.sampled_from([1e-3, 0.5, 4.0, 20.0, 1000.0])
-                     | st.floats(1e-3, 1000.0))
+    loss_prob = draw(st.sampled_from(LOSS_PROBS))
+    if draw(st.booleans()):
+        # FINISH_TIE's family.  With no propagation delay and rates of
+        # 1 Mbps times a power of two, every time is a dyadic number of ms,
+        # and a segment's time on the access link, ack_bytes * (2 + ratio)
+        # bytes, equals an ACK's return over access, bottleneck (ratio times
+        # slower) and access: ACKs return exactly as the sender link
+        # finishes.  A timeout of 1-4 segment times is at most the round
+        # trip of 3 + ratio, so timers fire too, and as the link finishes.
+        ratio = draw(st.sampled_from([1, 2, 4]))
+        rate = 1_000_000 * 2 ** draw(st.integers(2, 5))
+        access = LinkSpec(rate * ratio, 0.0)
+        bottleneck = BottleneckSpec(rate, 0.0, loss_prob)
+        ack_bytes = draw(st.sampled_from([125, 250]))
+        segment_bytes = ack_bytes * (2 + ratio)
+        rto_ms = (draw(st.integers(1, 4)) * segment_bytes * 8000
+                  / access.rate_bps)
+    else:
+        access = LinkSpec(draw(rates()), draw(delays()))
+        bottleneck = BottleneckSpec(draw(rates()), draw(delays()), loss_prob)
+        segment_bytes = draw(st.sampled_from([40, 500, 1000, 1500])
+                             | st.integers(40, 1500))
+        ack_bytes = draw(st.sampled_from([1, 40, segment_bytes])
+                         | st.integers(1, segment_bytes))
+        # validate_config requires rto_ms > 4x the one-way propagation delay
+        floor_ms = 4 * (2 * access.prop_delay_ms + bottleneck.prop_delay_ms)
+        rto_ms = floor_ms + draw(st.sampled_from([1e-3, 0.5, 4.0, 20.0, 1000.0])
+                                 | st.floats(1e-3, 1000.0))
     return SimConfig(
         access_link=access, bottleneck_link=bottleneck,
-        segment_bytes=draw(st.sampled_from([40, 500, 1000, 1500])
-                           | st.integers(40, 1500)),
+        segment_bytes=segment_bytes, ack_bytes=ack_bytes,
         queue_capacity_segments=draw(st.integers(1, 250)),
-        rto_ms=floor_ms + margin_ms,
+        rto_ms=rto_ms,
+        rtt_ewma_alpha=draw(st.sampled_from([0.125, 0.5, 1.0])
+                            | st.floats(0.0, 1.0, exclude_min=True)),
         seed=draw(st.integers(0, 2**32 - 1)))
 
 
