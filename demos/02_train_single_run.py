@@ -31,13 +31,13 @@ def main():
 
     # The learned behaviour shows up as the cwnd trajectory drifting up:
     # compare the median window early vs late in the episode.
-    cwnds = [row["cwnd"] for row in trace]
+    cwnds = [row.cwnd for row in trace]
     early = statistics.median(cwnds[:50])
     late = statistics.median(cwnds[150:])
     print(f"median cwnd steps 1-50: {early}, steps 151-200: {late}")
 
     # Coarse reward curve, 20-step buckets.
-    rewards = [row["reward"] for row in trace]
+    rewards = [row.reward for row in trace]
     for start in range(0, 200, 20):
         bucket = rewards[start:start + 20]
         bar = "#" * int(40 * statistics.mean(bucket))

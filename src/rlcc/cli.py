@@ -21,7 +21,8 @@ analyze reads no configuration (its flags are --runs, --factors, --response and
 refuses a cell that keeps unequal run counts at the pooled third factor's
 levels.  grid starts at most one worker per usable CPU.
 --out-dir is created before a command starts; CSVs are written atomically,
-and every output is fully determined by --base-seed.
+and every output is fully determined by --base-seed.  steps.csv rows are
+experiments.Step tuples, whose fields are its columns.
 
 Exit codes: 0 success, 2 invalid input (including a configuration too large
 to allocate or an unbalanced fit), 3 training divergence (train), 4 partial
@@ -38,12 +39,12 @@ import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 from . import experiments, stats
 from .dqn import DqnConfig
 from .env import EnvConfig
-from .experiments import STEPS_HEADER
+from .experiments import STEPS_HEADER, Step
 from .netsim import InvalidConfigError, SimConfig, Simulator, validate_config
 
 EXIT_OK = 0
@@ -212,26 +213,16 @@ def gather_settings(args) -> dict[str, str]:
 
 # -- output helpers ----------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write rows of cells in header order via a temp file in the target
+    directory, then rename; csv writes a float by repr and None as ""."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in header])
+            writer.writerows(rows)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -239,12 +230,12 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
         raise
 
 
-def record_to_row(rec: experiments.RunRecord) -> dict:
-    """RUNS_HEADER columns: the RunSpec fields, then the record's metrics."""
-    row = asdict(rec.spec)
-    row.update((col, getattr(rec, col)) for col in RUNS_HEADER
-               if col not in row)
-    return row
+def record_to_row(rec: experiments.RunRecord) -> list:
+    """The RUNS_HEADER cells in order: the RunSpec fields, then the record's
+    metrics, with diverged written as true or false."""
+    cells = {**vars(rec), **vars(rec.spec),
+             "diverged": "true" if rec.diverged else "false"}
+    return [cells[col] for col in RUNS_HEADER]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -269,9 +260,9 @@ def cmd_simulate(args) -> int:
     rows = []
     for step in range(1, steps + 1):
         throughput = sim.advance(interval)
-        rows.append(dict(zip(STEPS_HEADER, (
-            "simulate", step, sim.cwnd, throughput,
-            sim.counters().rtt_ewma_ms, None, None, None))))
+        rtt = sim.rtt_ewma_ms   # None until the first sample, as counters()
+        rows.append(Step("simulate", step, sim.cwnd, throughput,
+                         0.0 if rtt is None else rtt, None, None, None))
     counters = sim.counters()
     duration_s = steps * interval / 1000.0
     throughput = counters.segments_acked_total * sim_cfg.segment_bytes / duration_s
@@ -311,10 +302,11 @@ def cmd_single_run(args) -> int:
         policy="random" if policy == "baseline" else "dqn")
     write_csv_atomic(os.path.join(args.out_dir, "steps.csv"),
                      STEPS_HEADER, trace)
+    row = record_to_row(record)
     write_csv_atomic(os.path.join(args.out_dir, "runs.csv"),
-                     RUNS_HEADER, [record_to_row(record)])
-    for key, value in record_to_row(record).items():
-        print(f"{key}={_fmt(value)}")
+                     RUNS_HEADER, [row])
+    for key, value in zip(RUNS_HEADER, row):
+        print(f"{key}={'' if value is None else value}")
     if record.diverged:
         print("training diverged; partial trace retained", file=sys.stderr)
         return EXIT_DIVERGED
@@ -436,7 +428,7 @@ def cmd_analyze(args) -> int:
         print(f"cell {_labels(factor_names, cell)}: kept {n_kept}, "
               f"dropped {n_dropped}", file=sys.stderr)
     write_csv_atomic(os.path.join(args.out_dir, "regression.csv"),
-                     REGRESSION_HEADER, [asdict(row) for row in table])
+                     REGRESSION_HEADER, [astuple(row) for row in table])
     print(stats.render_table(table))
     return EXIT_OK
 

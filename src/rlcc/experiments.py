@@ -6,8 +6,8 @@ channel error rate; the levels cannot be set.
 
 Every run is one 200-step online-training episode.  Seeds derive from
 (base_seed, cell, rep) via SHA-256, so the whole grid is reproducible and
-runs can execute in any order or in parallel.  A run's trace rows are keyed
-by STEPS_HEADER, the steps.csv column list.
+runs can execute in any order or in parallel.  A run's trace rows are Step
+tuples, whose fields are the steps.csv columns.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from statistics import mean
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +60,19 @@ class RunRecord:
     wall_time_ms: int
 
 
-#: steps.csv's columns: one row per decision step, keyed by these names.
-STEPS_HEADER = ["run_id", "step", "cwnd", "throughput_Bps", "avg_rtt_ms",
-                "reward", "epsilon", "loss"]
+class Step(NamedTuple):
+    """One steps.csv row, a decision step; the fields are the columns."""
+    run_id: str
+    step: int
+    cwnd: int
+    throughput_Bps: float
+    avg_rtt_ms: float
+    reward: float
+    epsilon: float | None
+    loss: float | None
+
+
+STEPS_HEADER = list(Step._fields)
 
 #: Plateau detector: moving-average window (steps) and band half-width
 #: as a fraction of the plateau.
@@ -157,7 +168,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
 
     obs = env.reset(spec.seed)
     state = normalize(obs)
-    trace: list[dict] = []
+    trace: list[Step] = []
     diverged = False
 
     for _ in range(env_cfg.episode_length):
@@ -180,15 +191,18 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 diverged = True
         state = next_state
         obs = result.observation
-        trace.append(dict(zip(STEPS_HEADER, (
-            spec.run_id, result.step_index, obs.cwnd_segments,
-            obs.throughput_Bps, obs.avg_rtt_ms, result.reward, epsilon,
-            loss))))
+        trace.append(Step(spec.run_id, result.step_index, obs.cwnd_segments,
+                          obs.throughput_Bps, obs.avg_rtt_ms, result.reward,
+                          epsilon, loss))
         if diverged:
             break
+    # train_step checks the loss, which precedes its update, so an update
+    # that overflows theta on the last step is caught here.
+    if agent is not None and not np.isfinite(agent.net.theta).all():
+        diverged = True
 
-    cwnds = [row["cwnd"] for row in trace]
-    throughputs = [row["throughput_Bps"] for row in trace]
+    cwnds = [row.cwnd for row in trace]
+    throughputs = [row.throughput_Bps for row in trace]
     conv = None
     if not diverged and len(cwnds) >= 2 * CONVERGENCE_WINDOW:
         conv = convergence_step(cwnds)
@@ -197,7 +211,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         avg_throughput_Bps=float(mean(throughputs)),
         max_throughput_Bps=float(max(throughputs)),
         convergence_step=conv,
-        cumulative_reward=float(sum(row["reward"] for row in trace)),
+        cumulative_reward=float(sum(row.reward for row in trace)),
         final_cwnd=cwnds[-1],
         diverged=diverged,
         wall_time_ms=int((time.monotonic() - t_start) * 1000),

@@ -388,21 +388,22 @@ class Simulator:
                 self.rtt_ewma_ms, sample, self.cfg.rtt_ewma_alpha)
         self._try_send(ev)
 
-    def _is_live(self, timer: tuple) -> bool:
-        seq, xmit_id = timer[6]
-        seg = self._unacked.get(seq)
-        return seg is not None and seg.xmit_id == xmit_id
-
     def _on_rto_fire(self, ev: tuple) -> None:
-        rto = self._rto
+        # A timer is live while its segment is unacked and not sent again.
+        rto, unacked = self._rto, self._unacked
         rto.popleft()
-        if self._is_live(ev):
+        seq, xmit_id = ev[6]
+        seg = unacked.get(seq)
+        if seg is not None and seg.xmit_id == xmit_id:
             self.retransmissions += 1
-            self._unacked[ev[6][0]].retrans_count += 1
-            self._enqueue_snd(ev[6][0], ev)
+            seg.retrans_count += 1
+            self._enqueue_snd(seq, ev)
         # Arm the next live timer; acked or superseded ones would only have
         # fired as no-ops.
-        while rto and not self._is_live(rto[0]):
+        while rto:
+            seq, xmit_id = rto[0][6]
+            seg = unacked.get(seq)
+            if seg is not None and seg.xmit_id == xmit_id:
+                heapq.heappush(self._heap, rto[0])
+                break
             rto.popleft()
-        if rto:
-            heapq.heappush(self._heap, rto[0])

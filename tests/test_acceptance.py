@@ -197,7 +197,7 @@ def test_learning_beats_random(tenseed_runs):
 
     up = 0
     for _, trace in trained:
-        cwnds = [row["cwnd"] for row in trace]
+        cwnds = [row.cwnd for row in trace]
         if statistics.median(cwnds[150:200]) > statistics.median(cwnds[0:50]):
             up += 1
 

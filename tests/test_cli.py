@@ -1,11 +1,14 @@
 import csv
 import itertools
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rlcc
 from rlcc import cli, experiments
@@ -272,30 +275,131 @@ class TestOutDir:
         assert calls == []
 
 
+def _reference_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """The cell-by-cell writer that write_csv_atomic replaced: rows are dicts
+    keyed by header, and each cell is formatted before csv sees it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_fmt(row[col]) for col in header])
+
+
+def reference_record_row(rec) -> dict:
+    """runs.csv's row as the reference writer took it."""
+    row = asdict(rec.spec)
+    row.update((col, getattr(rec, col)) for col in RUNS_HEADER
+               if col not in row)
+    return row
+
+
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.integers(-(2 ** 63 - 1), 2 ** 63 - 1),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1,
+                     1e16]),
+    st.floats(),
+    st.sampled_from(["", ",", '"', "\n", 'a,"b"\r\nc']),
+    st.text(max_size=12))
+
+
+def assert_writers_agree(directory, header, rows):
+    new = os.path.join(directory, "new.csv")
+    ref = os.path.join(directory, "ref.csv")
+    write_csv_atomic(new, header, rows)
+    reference_write_csv(ref, header, [dict(zip(header, row)) for row in rows])
+    with open(new, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()
+
+
 class TestAtomicCsv:
     def test_write_and_content(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv_atomic(str(path), ["a", "b"],
-                         [{"a": 1, "b": None}, {"a": 2.5, "b": True}])
-        assert read_csv(path) == [["a", "b"], ["1", ""], ["2.5", "true"]]
+        write_csv_atomic(str(path), ["a", "b"], [(1, None), [2.5, "x"]])
+        assert read_csv(path) == [["a", "b"], ["1", ""], ["2.5", "x"]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(
+        st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=6)))
+    def test_matches_reference_writer(self, rows):
+        header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+        with tempfile.TemporaryDirectory() as directory:
+            assert_writers_agree(directory, header, rows)
+
+    def test_lone_empty_cell_is_quoted(self, tmp_path):
+        assert_writers_agree(str(tmp_path), ["a"], [[None], [""]])
+        assert (tmp_path / "new.csv").read_bytes() == b'a\r\n""\r\n""\r\n'
+
+    def test_runs_csv_diverged_reads_true_or_false(self, tmp_path):
+        spec = experiments.RunSpec(run_id="r", layers=2, learning_rate=0.01,
+                                   error_rate=0.2, rep=0, seed=7)
+        records = [experiments.RunRecord(
+            spec=spec, avg_throughput_Bps=1.5, max_throughput_Bps=2.0,
+            convergence_step=conv, cumulative_reward=0.1, final_cwnd=4,
+            diverged=diverged, wall_time_ms=3)
+            for conv, diverged in ((None, True), (25, False))]
+        path = tmp_path / "runs.csv"
+        write_csv_atomic(str(path), RUNS_HEADER,
+                         [cli.record_to_row(r) for r in records])
+        rows = read_csv(path)
+        assert [row[RUNS_HEADER.index("diverged")] for row in rows[1:]] \
+            == ["true", "false"]
+        reference_write_csv(tmp_path / "ref.csv", RUNS_HEADER,
+                            [reference_record_row(r) for r in records])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_no_temp_file_left_behind(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv_atomic(str(path), ["a"], [{"a": 1}])
+        write_csv_atomic(str(path), ["a"], [[1]])
         assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_failure_leaves_previous_file(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv_atomic(str(path), ["a"], [{"a": 1}])
+        write_csv_atomic(str(path), ["a"], [[1]])
 
         def bad_rows():
-            yield {"a": 2}
+            yield [2]
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
             write_csv_atomic(str(path), ["a"], bad_rows())
         assert read_csv(path) == [["a"], ["1"]]
         assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_every_csv_goes_through_write_csv_atomic(tmp_path, capsys,
+                                                 monkeypatch):
+    # the bench times CSV writes by wrapping this module attribute, so a
+    # command that bypassed it would read as writing nothing
+    written = []
+    original = cli.write_csv_atomic
+
+    def recorder(path, header, rows):
+        written.append(os.path.abspath(path))
+        original(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv_atomic", recorder)
+    grid = tmp_path / "grid"
+    for argv in (("simulate", "--duration-ms", "500"),
+                 ("train", *FAST),
+                 ("baseline", "--override", "env.episode_length=40"),
+                 ("grid", *FAST, "--reps", "1", "--jobs", "1"),
+                 ("analyze", "--runs", str(grid / "runs.csv"))):
+        out = grid if argv[0] == "grid" else tmp_path / argv[0]
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+    on_disk = sorted(str(path) for path in tmp_path.rglob("*.csv"))
+    assert len(on_disk) == 8
+    assert sorted(written) == on_disk
 
 
 def assert_unread_keys_named(tmp_path, capsys, argv, read, unread):
@@ -345,6 +449,16 @@ class TestSimulate:
         assert len(rows) == 31
         # reward/epsilon/loss are agent columns, blank here
         assert rows[1][5:] == ["", "", ""]
+
+    def test_avg_rtt_reads_zero_before_first_sample(self, tmp_path, capsys):
+        # a 200 ms bottleneck delay puts the first RTT sample past 400 ms
+        assert run_cli("simulate", "--cwnd", "4", "--duration-ms", "1000",
+                       "--override", "sim.bottleneck_link.prop_delay_ms=200",
+                       "--out-dir", str(tmp_path)) == 0
+        rtts = [row[STEPS_HEADER.index("avg_rtt_ms")]
+                for row in read_csv(tmp_path / "steps.csv")[1:]]
+        assert rtts[:4] == ["0.0"] * 4
+        assert float(rtts[-1]) > 400
 
     def test_invalid_cwnd_exits_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--cwnd", "0",
@@ -414,6 +528,15 @@ class TestTrainAndBaseline:
         assert dict(zip(runs[0], runs[1]))["diverged"] == "true"
         # partial trace retained
         assert len(read_csv(tmp_path / "steps.csv")) >= 2
+
+    def test_nonfinite_theta_after_last_update_exits_3(
+            self, tmp_path, capsys, poison_last_train_step):
+        code = poison_last_train_step(lambda: run_cli(
+            "train", *FAST, "--out-dir", str(tmp_path)))
+        assert code == 3
+        runs = read_csv(tmp_path / "runs.csv")
+        assert dict(zip(runs[0], runs[1]))["diverged"] == "true"
+        assert len(read_csv(tmp_path / "steps.csv")) == 41
 
     def test_window_capped_by_simulator_ceiling(self, tmp_path, capsys):
         code = run_cli("train", *FAST, "--override", "sim.cwnd_max=2",

@@ -5,7 +5,7 @@ import pytest
 
 from rlcc.dqn import ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
-from rlcc.experiments import (FactorLevels, InvalidDesignError, RunSpec,
+from rlcc.experiments import (FactorLevels, InvalidDesignError, RunSpec, Step,
                               convergence_step, derive_seed, enumerate_runs,
                               execute_run)
 
@@ -133,25 +133,25 @@ class TestExecuteRun:
     def test_trace_structure(self):
         record, trace = execute_run(self.make_spec(), FAST_ENV, FAST_DQN)
         assert len(trace) == 40
-        assert [row["step"] for row in trace] == list(range(1, 41))
-        for row in trace:
-            assert set(row) == {"run_id", "step", "cwnd", "throughput_Bps",
-                                "avg_rtt_ms", "reward", "epsilon", "loss"}
+        assert [row.step for row in trace] == list(range(1, 41))
+        assert all(type(row) is Step for row in trace)
+        assert Step._fields == ("run_id", "step", "cwnd", "throughput_Bps",
+                                "avg_rtt_ms", "reward", "epsilon", "loss")
         assert not record.diverged
         assert record.max_throughput_Bps >= record.avg_throughput_Bps
 
     def test_record_summaries_match_trace(self):
         record, trace = execute_run(self.make_spec(), FAST_ENV, FAST_DQN)
-        thr = [row["throughput_Bps"] for row in trace]
+        thr = [row.throughput_Bps for row in trace]
         assert record.avg_throughput_Bps == pytest.approx(np.mean(thr))
         assert record.max_throughput_Bps == pytest.approx(max(thr))
         assert record.cumulative_reward == pytest.approx(
-            sum(row["reward"] for row in trace))
-        assert record.final_cwnd == trace[-1]["cwnd"]
+            sum(row.reward for row in trace))
+        assert record.final_cwnd == trace[-1].cwnd
 
     def test_epsilon_schedule_in_trace(self):
         _, trace = execute_run(self.make_spec(), FAST_ENV, FAST_DQN)
-        eps = [row["epsilon"] for row in trace]
+        eps = [row.epsilon for row in trace]
         assert eps[0] == pytest.approx(1.0)
         assert all(a >= b for a, b in zip(eps, eps[1:]))
 
@@ -172,7 +172,7 @@ class TestExecuteRun:
     def test_random_policy_has_no_training_columns(self):
         record, trace = execute_run(self.make_spec(), FAST_ENV, FAST_DQN,
                                     policy="random")
-        assert all(row["epsilon"] is None and row["loss"] is None
+        assert all(row.epsilon is None and row.loss is None
                    for row in trace)
         assert not record.diverged
 
@@ -205,3 +205,13 @@ class TestExecuteRun:
         assert record.diverged
         assert record.convergence_step is None
         assert len(trace) <= 40
+
+    def test_nonfinite_theta_after_last_update_flagged(
+            self, poison_last_train_step):
+        # the loss check precedes each update, so only the end-of-run check
+        # sees theta overflow on the last step
+        record, trace = poison_last_train_step(
+            lambda: execute_run(self.make_spec(), FAST_ENV, FAST_DQN))
+        assert record.diverged
+        assert record.convergence_step is None
+        assert len(trace) == 40
