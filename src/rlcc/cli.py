@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import sys
@@ -342,8 +343,16 @@ def cmd_grid(args) -> int:
             else os.cpu_count() or 1)
     workers = min(args.jobs or cpus, cpus, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_worker, jobs, chunksize=1))
+        # The workers fork at the first submit.  A frozen heap keeps a full
+        # collection here from writing the headers of objects they share;
+        # collecting first keeps the garbage out of what is frozen.
+        gc.collect()
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_grid_worker, jobs, chunksize=1))
+        finally:
+            gc.unfreeze()
     else:
         results = [_grid_worker(job) for job in jobs]
     records = [rec for rec, _ in results]

@@ -13,12 +13,15 @@ uncongested reverse path with fixed latency and are never lost.  Un-ACKed
 segments retransmit a fixed RTO after each (re)transmission; RTT samples
 follow Karn's rule (never-retransmitted segments only) and feed an EWMA.
 
-Heap events are ACK arrivals, one armed retransmission timer and the sender
-link's finish, which enters the heap only when a segment waits for it.  An
-idle link's finish is kept aside: a segment enqueued before it pushes it, one
-enqueued after it kicks the link instead.  The kick waits in a slot of its
-own, and ``advance`` takes it without a heap push whenever it is the next
-event, so a clean flow costs about one heap push per delivered segment.
+``advance`` is one event loop over local state.  Heap events are ACK
+arrivals, one armed retransmission timer and the sender link's finish, which
+enters the heap only when a segment waits for it.  One block hands segments
+to the sender link: after an ACK, after a retransmission, and for the window
+a ``set_cwnd`` opened, which the next ``advance`` fills at the call's instant.
+An idle link's finish is kept aside: a segment enqueued before it pushes it,
+one enqueued after it kicks the link instead.  The kick waits in a slot of
+its own and is taken without a heap push whenever it is the next event, so a
+clean flow costs about one heap push per delivered segment.
 Later hops are FIFO with fixed service times, so a transmission's fate is
 computed when it starts, with the sums an event per hop would take, in the
 order an event per hop would take them (time, then the times of the events
@@ -136,7 +139,7 @@ def update_rtt_ewma(ewma_ms: float | None, sample_ms: float,
 # A heap entry is (time, parent time, grandparent time, great-grandparent
 # time, insertion seq, kind, payload); its first four fields are its key.
 # An event d ms after the one keyed k, or a hop computed d ms after it, is
-# keyed (k[0] + d, k[0], k[1], k[2]).  Kinds index advance()'s handlers.
+# keyed (k[0] + d, k[0], k[1], k[2]).
 _SND_READY = 0       # sender link finished a segment, or a kick of it idle
 _ACK_ARRIVE = 1      # cumulative ACK delivered to the sender
 _RTO_FIRE = 2        # the armed retransmission timer
@@ -173,16 +176,18 @@ class Simulator:
             + cfg.bottleneck_link.prop_delay_ms)
 
         self.cwnd = 1
+        # The largest window set since the last advance, which fills it.
+        self._fill_to = 1
         self._next_seq = 0
         self._last_acked = -1
         self._unacked: dict[int, _Segment] = {}
 
         # At most one _SND_READY is pending: a finish in the heap or a kick
-        # in _kick.  An idle link keeps its last finish in _snd_done, which
-        # is pushed if a segment is enqueued before it in event order.
+        # of the idle link.  An idle link keeps its last finish in
+        # _snd_done, which is pushed if a segment is enqueued before it in
+        # event order.
         self._snd_ready_pending = False
         self._snd_done: tuple = (-math.inf,)
-        self._kick: tuple | None = None
         self._snd_queue: deque[int] = deque()
         # Keys of the bottleneck departures still ahead, the one in service
         # first, and of the receiver link's latest departure.
@@ -203,13 +208,11 @@ class Simulator:
         self.drops_error = 0
         self.drops_queue = 0
 
-        self._try_send((self.now, math.inf, math.inf))
-
     # -- public surface ----------------------------------------------------
 
     @property
     def in_flight(self) -> int:
-        return len(self._unacked)
+        return max(len(self._unacked), self._fill_to)
 
     def counters(self) -> FlowCounters:
         return FlowCounters(
@@ -224,14 +227,17 @@ class Simulator:
 
     def set_cwnd(self, segments: int) -> None:
         """Set the sender window.  Rejects out-of-range values; in-flight
-        segments are never discarded by a shrink."""
+        segments are never discarded by a shrink.  The window this opens is
+        filled by the next ``advance``, at this call's instant; a window
+        raised and lowered in between still sends the raised one's
+        segments."""
         if not isinstance(segments, int) or isinstance(segments, bool):
             raise CwndRangeError(f"cwnd must be an integer, got {segments!r}")
         if not 1 <= segments <= self.cfg.cwnd_max:
             raise CwndRangeError(
                 f"cwnd {segments} outside [1, {self.cfg.cwnd_max}]")
         self.cwnd = segments
-        self._try_send((self.now, math.inf, math.inf))
+        self._fill_to = max(self._fill_to, segments)
 
     def advance(self, interval_ms: float) -> float:
         """Process all events up to now + interval_ms and return the
@@ -240,170 +246,182 @@ class Simulator:
         if not 0 < interval_s < math.inf:
             raise ValueError("interval_ms must be finite and positive in "
                              "seconds")
-        t_end = self.now + interval_ms
-        acked_before = self.segments_acked_total
+        cfg = self.cfg
+        now = self.now
+        t_end = now + interval_ms
+        acked_before = acked = self.segments_acked_total
 
-        heap = self._heap
-        handlers = (self._on_snd_ready, self._on_ack_arrive, self._on_rto_fire)
+        heap, unacked, snd_queue = self._heap, self._unacked, self._snd_queue
+        bn, rto, ooo = self._bn, self._rto, self._ooo
+        heappush, heappop, heappushpop = (heapq.heappush, heapq.heappop,
+                                          heapq.heappushpop)
+        random_draw = self._rng.random
+        queue_drops = self._drop_times["drops_queue"]
+        error_drops = self._drop_times["drops_error"]
+        cwnd, seg_bytes, rto_ms = self.cwnd, cfg.segment_bytes, cfg.rto_ms
+        alpha = cfg.rtt_ewma_alpha
+        ser_access, ser_bn = self._ser_access_ms, self._ser_bottleneck_ms
+        access_prop = cfg.access_link.prop_delay_ms
+        bn_prop = cfg.bottleneck_link.prop_delay_ms
+        loss = cfg.bottleneck_link.loss_prob
+        capacity = cfg.queue_capacity_segments
+        ack_delay = self._ack_delay_ms
+        evseq, next_seq = self._evseq, self._next_seq
+        last_acked, expected = self._last_acked, self._expected_seq
+        pending, snd_done = self._snd_ready_pending, self._snd_done
+        rcv_done, ewma = self._rcv_done, self.rtt_ewma_ms
+        sent, retransmissions = self.bytes_sent_total, self.retransmissions
+
+        # The window set_cwnd opened is filled at the call's instant, after
+        # every event processed at it.
+        opened, want = (now, math.inf, math.inf), self._fill_to
+        self._fill_to = 0
+        kick = None
         while True:
+            if opened is not None:
+                # Hand segments to the sender link.  If the kept finish is
+                # still ahead of the event that opened the window, the busy
+                # link takes them when it finishes; otherwise the idle link
+                # is kicked.  A non-empty queue always has a finish pending,
+                # so testing once after the appends is exact.
+                while len(unacked) < want:
+                    unacked[next_seq] = _Segment()
+                    snd_queue.append(next_seq)
+                    next_seq += 1
+                if snd_queue and not pending:
+                    pending = True
+                    if snd_done > opened:
+                        heappush(heap, snd_done)
+                    else:
+                        evseq += 1
+                        kick = (now, opened[0], opened[1], opened[2], evseq,
+                                _SND_READY, None)
+                opened = None
             # A kick is never later than t_end; heappushpop hands it back
             # untouched when it is the next event.
-            kick = self._kick
             if kick is not None:
-                self._kick = None
-                ev = heapq.heappushpop(heap, kick)
+                ev = heappushpop(heap, kick)
+                kick = None
             elif heap and heap[0][0] <= t_end:
-                ev = heapq.heappop(heap)
+                ev = heappop(heap)
             else:
                 break
-            self.now = ev[0]
-            handlers[ev[5]](ev)
+            now = ev[0]
+            kind = ev[5]
+
+            if kind == _SND_READY:
+                # Retransmissions acked while queued are skipped.
+                pending = False
+                while snd_queue:
+                    seq = snd_queue.popleft()
+                    seg = unacked.get(seq)
+                    if seg is not None:
+                        break
+                else:
+                    continue
+                p1, p2 = ev[1], ev[2]
+                sent += seg_bytes
+                if seg.first_send_ms < 0:
+                    seg.first_send_ms = now
+                seg.xmit_id += 1
+                # The timer waits in deadline order; it enters the heap once
+                # every earlier one has fired or been found stale.
+                evseq += 2
+                timer = (now + rto_ms, now, p1, p2, evseq - 1, _RTO_FIRE,
+                         (seq, seg.xmit_id))
+                rto.append(timer)
+                if len(rto) == 1:
+                    heappush(heap, timer)
+                t = now + ser_access
+                snd_done = (t, now, p1, p2, evseq, _SND_READY, None)
+                if snd_queue:
+                    pending = True
+                    heappush(heap, snd_done)
+
+                r1 = (t + access_prop, t, now, p1)
+                while bn and bn[0] < r1:
+                    bn.popleft()   # departed before it reached router1
+                if len(bn) > capacity:
+                    # one segment in service and a full queue: drop-tail
+                    queue_drops.append(r1[0])
+                    continue
+                # Service starts at the last departure if busy, else on
+                # arrival.
+                p = bn[-1] if bn else r1
+                t = p[0] + ser_bn
+                bn.append((t, p[0], p[1], p[2]))
+                r2 = (t + bn_prop, t, p[0], p[1])
+                # Channel error after the segment used the bottleneck's
+                # capacity: a fresh draw per traversal, in bottleneck FIFO
+                # order.
+                if loss > 0.0 and random_draw() < loss:
+                    error_drops.append(r2[0])
+                    continue
+                # The receiver link is idle if its last finish precedes the
+                # arrival.
+                p = r2 if rcv_done < r2 else rcv_done
+                t = p[0] + ser_access
+                rcv_done = (t, p[0], p[1], p[2])
+                if seq == expected:
+                    expected += 1
+                    while expected in ooo:
+                        ooo.discard(expected)
+                        expected += 1
+                    # One cumulative ACK per in-order arrival; seq is the
+                    # trigger segment used for RTT sampling.
+                    arrive = t + access_prop
+                    evseq += 1
+                    heappush(heap, (arrive + ack_delay, arrive, t, p[0], evseq,
+                                    _ACK_ARRIVE, (expected - 1, seq)))
+                elif seq > expected:
+                    ooo.add(seq)
+                # seq < expected: a duplicate of a delivered segment.
+
+            elif kind == _ACK_ARRIVE:
+                cum, trigger = ev[6]
+                if cum > last_acked:
+                    acked += cum - last_acked
+                    while last_acked < cum:
+                        last_acked += 1
+                        seg = unacked.pop(last_acked)
+                        # Karn's rule: sample RTT only from the trigger, and
+                        # only if it was never retransmitted.
+                        if last_acked == trigger and seg.retrans_count == 0:
+                            ewma = update_rtt_ewma(
+                                ewma, now - seg.first_send_ms, alpha)
+                    opened, want = ev, cwnd
+
+            else:
+                # A timer is live while its segment is unacked and not sent
+                # again.
+                rto.popleft()
+                seq, xmit_id = ev[6]
+                seg = unacked.get(seq)
+                if seg is not None and seg.xmit_id == xmit_id:
+                    retransmissions += 1
+                    seg.retrans_count += 1
+                    snd_queue.append(seq)
+                    opened, want = ev, 0
+                # Arm the next live timer; acked or superseded ones would
+                # only have fired as no-ops.
+                while rto:
+                    seq, xmit_id = rto[0][6]
+                    seg = unacked.get(seq)
+                    if seg is not None and seg.xmit_id == xmit_id:
+                        heappush(heap, rto[0])
+                        break
+                    rto.popleft()
+
         self.now = t_end
+        self._evseq, self._next_seq = evseq, next_seq
+        self._last_acked, self._expected_seq = last_acked, expected
+        self._snd_ready_pending, self._snd_done = pending, snd_done
+        self._rcv_done, self.rtt_ewma_ms = rcv_done, ewma
+        self.bytes_sent_total, self.retransmissions = sent, retransmissions
+        self.segments_acked_total = acked
         for name, times in self._drop_times.items():
             n = bisect.bisect_right(times, t_end)
             setattr(self, name, getattr(self, name) + n)
             del times[:n]
 
-        return (self.segments_acked_total - acked_before) \
-            * self.cfg.segment_bytes / interval_s
-
-    # -- sender ------------------------------------------------------------
-
-    def _try_send(self, ev: tuple) -> None:
-        """Fill the window opened by ``ev``; a call from outside passes
-        (now, inf, inf), after every event processed at now."""
-        while len(self._unacked) < self.cwnd:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._unacked[seq] = _Segment()
-            self._enqueue_snd(seq, ev)
-
-    def _enqueue_snd(self, seq: int, ev: tuple) -> None:
-        # Transmission starts from the event loop, so counters only move in
-        # advance(); a busy link takes the segment when it finishes.
-        self._snd_queue.append(seq)
-        if not self._snd_ready_pending:
-            self._snd_ready_pending = True
-            # The kept finish is still ahead of ev in event order (for a call
-            # from outside, done[0] > now): the busy link takes the segment
-            # when it finishes.  Otherwise the idle link is kicked.
-            if self._snd_done > ev:
-                heapq.heappush(self._heap, self._snd_done)
-            else:
-                self._evseq += 1
-                self._kick = (self.now, ev[0], ev[1], ev[2], self._evseq,
-                              _SND_READY, None)
-
-    def _on_snd_ready(self, ev: tuple) -> None:
-        """The sender link finished a segment, or an idle one is kicked."""
-        self._snd_ready_pending = False
-        while self._snd_queue:
-            seq = self._snd_queue.popleft()
-            seg = self._unacked.get(seq)
-            if seg is None:
-                continue  # retransmission that was queued but acked meanwhile
-            now, p1, p2 = ev[0], ev[1], ev[2]
-            self.bytes_sent_total += self.cfg.segment_bytes
-            if seg.first_send_ms < 0:
-                seg.first_send_ms = now
-            seg.xmit_id += 1
-            # The timer waits in deadline order; it enters the heap once every
-            # earlier one has fired or been found stale.
-            self._evseq += 2
-            timer = (now + self.cfg.rto_ms, now, p1, p2, self._evseq - 1,
-                     _RTO_FIRE, (seq, seg.xmit_id))
-            self._rto.append(timer)
-            if len(self._rto) == 1:
-                heapq.heappush(self._heap, timer)
-            done = (now + self._ser_access_ms, now, p1, p2, self._evseq,
-                    _SND_READY, None)
-            self._snd_done = done
-            if self._snd_queue:
-                self._snd_ready_pending = True
-                heapq.heappush(self._heap, done)
-            self._forward(seq, done)
-            return
-
-    def _forward(self, seq: int, done: tuple) -> None:
-        """Carry a transmission from its sender-link finish ``done`` through
-        the bottleneck and receiver link, and schedule the ACK it causes."""
-        cfg = self.cfg
-        t = done[0]
-        r1 = (t + cfg.access_link.prop_delay_ms, t, done[1], done[2])
-        bn = self._bn
-        while bn and bn[0] < r1:
-            bn.popleft()   # departed before the segment reached router1
-        if len(bn) > cfg.queue_capacity_segments:
-            # one segment in service and a full queue: drop-tail
-            self._drop_times["drops_queue"].append(r1[0])
-            return
-        # Service starts at the last departure if busy, else on arrival.
-        p = bn[-1] if bn else r1
-        t = p[0] + self._ser_bottleneck_ms
-        bn.append((t, p[0], p[1], p[2]))
-        r2 = (t + cfg.bottleneck_link.prop_delay_ms, t, p[0], p[1])
-        # Channel error after the segment used the bottleneck's capacity: a
-        # fresh draw per traversal, in bottleneck FIFO order.
-        loss = cfg.bottleneck_link.loss_prob
-        if loss > 0.0 and self._rng.random() < loss:
-            self._drop_times["drops_error"].append(r2[0])
-            return
-        # The receiver link is idle if its last finish precedes the arrival.
-        p = r2 if self._rcv_done < r2 else self._rcv_done
-        t = p[0] + self._ser_access_ms
-        self._rcv_done = (t, p[0], p[1], p[2])
-        arrive = t + cfg.access_link.prop_delay_ms
-        if seq == self._expected_seq:
-            self._expected_seq += 1
-            while self._expected_seq in self._ooo:
-                self._ooo.discard(self._expected_seq)
-                self._expected_seq += 1
-            # One cumulative ACK per in-order arrival; seq is the trigger
-            # segment used for RTT sampling at the sender.
-            self._evseq += 1
-            heapq.heappush(self._heap, (
-                arrive + self._ack_delay_ms, arrive, t, p[0], self._evseq,
-                _ACK_ARRIVE, (self._expected_seq - 1, seq)))
-        elif seq > self._expected_seq:
-            self._ooo.add(seq)
-        # seq < expected: duplicate of an already delivered segment; ignore.
-
-    # -- ACK and timer side ------------------------------------------------
-
-    def _on_ack_arrive(self, ev: tuple) -> None:
-        cum, trigger_seq = ev[6]
-        if cum <= self._last_acked:
-            return
-        trigger_seg = None
-        for s in range(self._last_acked + 1, cum + 1):
-            seg = self._unacked.pop(s)
-            self.segments_acked_total += 1
-            if s == trigger_seq:
-                trigger_seg = seg
-        self._last_acked = cum
-        # Karn's rule: sample RTT only from never-retransmitted segments.
-        if trigger_seg is not None and trigger_seg.retrans_count == 0:
-            sample = self.now - trigger_seg.first_send_ms
-            self.rtt_ewma_ms = update_rtt_ewma(
-                self.rtt_ewma_ms, sample, self.cfg.rtt_ewma_alpha)
-        self._try_send(ev)
-
-    def _on_rto_fire(self, ev: tuple) -> None:
-        # A timer is live while its segment is unacked and not sent again.
-        rto, unacked = self._rto, self._unacked
-        rto.popleft()
-        seq, xmit_id = ev[6]
-        seg = unacked.get(seq)
-        if seg is not None and seg.xmit_id == xmit_id:
-            self.retransmissions += 1
-            seg.retrans_count += 1
-            self._enqueue_snd(seq, ev)
-        # Arm the next live timer; acked or superseded ones would only have
-        # fired as no-ops.
-        while rto:
-            seq, xmit_id = rto[0][6]
-            seg = unacked.get(seq)
-            if seg is not None and seg.xmit_id == xmit_id:
-                heapq.heappush(self._heap, rto[0])
-                break
-            rto.popleft()
+        return (acked - acked_before) * seg_bytes / interval_s

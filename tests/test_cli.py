@@ -1,4 +1,5 @@
 import csv
+import gc
 import itertools
 import math
 import os
@@ -637,6 +638,40 @@ class TestGrid:
         assert len(pools) == 3
         for name in ("runs.csv", "steps.csv"):
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_heap_frozen_while_workers_live(self, tmp_path, capsys,
+                                            monkeypatch):
+        freeze_counts = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                freeze_counts.append(gc.get_freeze_count())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert gc.get_freeze_count() == 0
+        assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "2",
+                       "--out-dir", str(tmp_path / "ok")) == 0
+        assert freeze_counts[0] > 0 and gc.get_freeze_count() == 0
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("worker failed")
+
+        # The forked workers inherit the patched run function.
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "execute_run", boom)
+            with pytest.raises(RuntimeError, match="worker failed"):
+                run_cli("grid", *FAST, "--reps", "1", "--jobs", "2",
+                        "--out-dir", str(tmp_path / "failed"))
+        assert len(freeze_counts) == 2 and freeze_counts[1] > 0
+        assert gc.get_freeze_count() == 0
+        # --jobs 1 starts no pool and freezes nothing.
+        assert run_cli("grid", *FAST, "--reps", "1", "--jobs", "1",
+                       "--out-dir", str(tmp_path / "serial")) == 0
+        assert len(freeze_counts) == 2
 
     def test_base_seed_changes_output(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

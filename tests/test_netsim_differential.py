@@ -122,7 +122,9 @@ FINISH_TIE = SimConfig(access_link=LinkSpec(16_000_000, 0.0),
                        queue_capacity_segments=1, rto_ms=6.0,
                        seed=3651825266)
 # 500-byte segments take 1 ms on the sender link, so the calls below find its
-# last finish at now, after now and before now.
+# last finish at now, after now and before now.  The two examples on the
+# default config raise the window and lower it again before the next
+# advance, which must still send the raised window's segments.
 IDLE_LINK = SimConfig(access_link=LinkSpec(4_000_000, 1.0), segment_bytes=500)
 
 
@@ -139,6 +141,10 @@ IDLE_LINK = SimConfig(access_link=LinkSpec(4_000_000, 1.0), segment_bytes=500)
 @example(cfg=IDLE_LINK, sequence=[
     ("advance", 1.0), ("cwnd", 2), ("advance", 0.5), ("cwnd", 3),
     ("advance", 2.5), ("cwnd", 4), ("advance", 100.0)])
+@example(cfg=SimConfig(), sequence=[
+    ("cwnd", 9), ("cwnd", 2), ("advance", 100.0)])
+@example(cfg=SimConfig(), sequence=[
+    ("advance", 50.0), ("cwnd", 30), ("cwnd", 4), ("advance", 100.0)])
 def test_matches_event_per_hop_reference(cfg, sequence):
     new, ref = Simulator(cfg), ReferenceSimulator(cfg)
     assert_same_state(new, ref)
