@@ -17,9 +17,10 @@ Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
 analyze reads no configuration (its flags are --runs, --factors, --response and
---out-dir) and prints each cell's kept and dropped run counts to stderr; it
-refuses a cell that keeps unequal run counts at the pooled third factor's
-levels.  grid starts at most one worker per usable CPU.
+--out-dir), fits two or three factors with all their interactions, and prints
+each cell's kept and dropped run counts to stderr; when it pools a factor, it
+refuses a cell that keeps unequal run counts at that factor's levels.  grid
+starts at most one worker per usable CPU.
 --out-dir is created before a command starts; CSVs are written atomically,
 and every output is fully determined by --base-seed.  steps.csv rows are
 experiments.Step tuples, whose fields are its columns.
@@ -381,8 +382,9 @@ def _labels(names, values) -> str:
 
 def cmd_analyze(args) -> int:
     factor_names = [f.strip() for f in args.factors.split(",")]
-    if len(factor_names) != 2:
-        raise CliError("--factors expects exactly two comma-separated names")
+    most = len(fields(experiments.FactorLevels))
+    if not 2 <= len(factor_names) <= most:
+        raise CliError(f"--factors expects 2 to {most} comma-separated names")
     rows = _parse_runs_csv(args.runs)
     if not rows:
         raise CliError(f"{args.runs} contains no runs")
@@ -427,8 +429,7 @@ def cmd_analyze(args) -> int:
                                f"{_labels(pooled, pool)}: {kept_at[cell, pool]}"
                                for pool in pools))
     X, names = stats.make_interaction_design(
-        coded[factor_names[0]], coded[factor_names[1]],
-        factor_names[0], factor_names[1])
+        [coded[n] for n in factor_names], factor_names)
     try:
         table = stats.ols_fit(X, names, y)
     except (stats.SingularDesignError, ValueError) as exc:
@@ -490,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--runs", default="runs.csv")
     p.add_argument("--factors", default="error_rate,layers",
-                   help="two comma-separated factor columns")
+                   help="two or three comma-separated factor columns; "
+                   "a two-factor fit pools the third into its residual")
     p.add_argument("--response", default="avg_throughput_Bps")
     p.set_defaults(func=cmd_analyze)
 

@@ -209,14 +209,6 @@ class QNetwork:
                 np.maximum(a, 0.0, out=a)
         return acts
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch of states, shape (n, output width); a copy,
-        as is forward's row."""
-        return self.activations(x)[-1].copy()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.activations(x)[-1][0].copy()
-
     def copy_from(self, other: "QNetwork") -> None:
         if other.sizes != self.sizes:
             raise ValueError("network shapes do not match")

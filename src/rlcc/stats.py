@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -111,15 +112,16 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return _betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
-def make_interaction_design(coded_a: np.ndarray, coded_b: np.ndarray,
-                            name_a: str, name_b: str):
-    """Intercept + two coded mains + their product, with term names."""
-    coded_a = np.asarray(coded_a, dtype=np.float64)
-    coded_b = np.asarray(coded_b, dtype=np.float64)
-    X = np.column_stack([np.ones_like(coded_a), coded_a, coded_b,
-                         coded_a * coded_b])
-    names = ["constant", name_a, name_b, f"{name_a}*{name_b}"]
-    return X, names
+def make_interaction_design(coded, names):
+    """Full-factorial design on coded columns, with term names: the
+    constant, the mains, then the product of every two or more columns,
+    lower orders first, each order in ``names`` order ("a*b", "a*b*c")."""
+    cols = [np.asarray(c, dtype=np.float64) for c in coded]
+    terms = [t for k in range(1, len(cols) + 1)
+             for t in combinations(range(len(cols)), k)]
+    X = np.column_stack([np.ones_like(cols[0])] + [
+        np.prod([cols[i] for i in t], axis=0) for t in terms])
+    return X, ["constant"] + ["*".join(names[i] for i in t) for t in terms]
 
 
 def ols_fit(X: np.ndarray, names: list[str],

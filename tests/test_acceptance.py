@@ -177,7 +177,7 @@ def test_bandit_sanity():
         for _ in range(500):
             s = np.zeros(6)
             s[0] = rng.random()
-            correct += int(np.argmax(agent.net.forward(s))) \
+            correct += int(np.argmax(agent.net.activations(s)[-1][0])) \
                 == (2 if s[0] > 0.5 else 0)
         accuracies.append(correct / 500)
     elapsed = time.monotonic() - t0
@@ -255,7 +255,7 @@ def test_ols_oracle():
     # it is orthogonal to every design column and cancels exactly
     a = np.array([-1.0, -1.0, 1.0, 1.0] * 2)
     b = np.array([-1.0, 1.0, -1.0, 1.0] * 2)
-    X, names = make_interaction_design(a, b, "A", "B")
+    X, names = make_interaction_design([a, b], ["A", "B"])
     y = 84_320.0 - 8585.0 * a + np.repeat([250.0, -250.0], 4)
     rows = ols_fit(X, names, y)
 

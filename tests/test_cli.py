@@ -732,6 +732,38 @@ class TestAnalyze:
                        "--factors", "error_rate",
                        "--out-dir", str(tmp_path)) == 2
 
+    def test_three_factors_fit_every_interaction(self, runs_csv, tmp_path,
+                                                 capsys):
+        code = run_cli("analyze", "--runs", str(runs_csv),
+                       "--factors", "error_rate,layers,learning_rate",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        rows = read_csv(tmp_path / "regression.csv")
+        assert [r[0] for r in rows[1:]] == [
+            "constant", "error_rate", "layers", "learning_rate",
+            "error_rate*layers", "error_rate*learning_rate",
+            "layers*learning_rate", "error_rate*layers*learning_rate"]
+        cells = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("cell ")]
+        assert len(cells) == 12
+        assert all("error_rate=" in c and "layers=" in c
+                   and "learning_rate=" in c for c in cells)
+
+    def test_four_factors_exit_2(self, runs_csv, tmp_path, capsys):
+        assert run_cli("analyze", "--runs", str(runs_csv),
+                       "--factors", "error_rate,layers,learning_rate,rep",
+                       "--out-dir", str(tmp_path)) == 2
+        assert "expects 2 to 3 comma-separated names" in capsys.readouterr().err
+        assert not (tmp_path / "regression.csv").exists()
+
+    def test_three_factors_need_two_levels_each(self, tmp_path, capsys):
+        # write_runs_csv holds one learning rate
+        write_runs_csv(tmp_path / "runs.csv")
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--factors", "error_rate,layers,learning_rate",
+                       "--out-dir", str(tmp_path)) == 2
+        assert "needs at least two levels" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [("--config", "run.cfg"),
                                       ("--override", "bogus.key=1"),
                                       ("--base-seed", "7")],

@@ -1,7 +1,6 @@
 """The demos run as scripts and print what their narrative says.
 
-Each runs in a fresh interpreter, as a reader would start it.  Demo 03 runs
-a 36-run grid on a process pool and is left out to keep the suite short.
+Each runs in a fresh interpreter, as a reader would start it.
 """
 
 import os
@@ -21,7 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
     # the random policy's run involves no learner, so no BLAS bits
     ("02_train_single_run.py",
      "random  avg throughput    233500 B/s   final cwnd 17"),
-], ids=["01", "02"])
+    # the header names the factors, whatever bits BLAS gives the fit
+    ("03_factorial_regression.py",
+     "response: avg throughput (B/s); factors: "
+     "error_rate,layers,learning_rate"),
+], ids=["01", "02", "03"])
 def test_demo_runs(script, line):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

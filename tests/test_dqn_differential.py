@@ -33,7 +33,7 @@ from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
 
 
 def td_targets_reference(batch, target_net, gamma):
-    next_max = target_net.forward_batch(batch.next_states).max(axis=1)
+    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
     return batch.rewards + gamma * next_max * ~batch.done
 
 
@@ -52,9 +52,9 @@ def rows_independent_of_position(net, n):
     """Whether a forward call on n rows gives each row the same bits at
     every position; rotations move each row through all of them."""
     x = np.random.default_rng(n).normal(size=(n, 6))
-    q = net.forward_batch(x)
+    q = net.activations(x)[-1].copy()
     return all(np.array_equal(np.roll(q, shift, axis=0),
-                              net.forward_batch(np.roll(x, shift, axis=0)))
+                              net.activations(np.roll(x, shift, axis=0))[-1])
                for shift in range(1, n))
 
 
@@ -258,7 +258,7 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
         if updates % sync_every == 0:
             target.copy_from(net)
             ref_target.copy_from(ref)
-        assert_same(net.forward_batch(probe), ref.forward_batch(probe), exact)
+        assert_same(net.activations(probe)[-1], ref.forward_batch(probe), exact)
     assert target.version == ref_target.version
     assert_same(net.theta, reference_theta(ref), exact)
     assert_same(target.theta, reference_theta(ref_target), exact)

@@ -160,13 +160,22 @@ class TestDesign:
     def test_interaction_design_columns(self):
         a = np.array([-1.0, -1.0, 1.0, 1.0])
         b = np.array([-1.0, 1.0, -1.0, 1.0])
-        X, names = make_interaction_design(a, b, "error_rate", "layers")
+        X, names = make_interaction_design([a, b], ["error_rate", "layers"])
         assert names == ["constant", "error_rate", "layers",
                          "error_rate*layers"]
         np.testing.assert_array_equal(X[:, 0], 1.0)
         np.testing.assert_array_equal(X[:, 1], a)
         np.testing.assert_array_equal(X[:, 2], b)
         np.testing.assert_array_equal(X[:, 3], a * b)
+
+    def test_three_factor_columns(self):
+        a, b, c = np.random.default_rng(3).uniform(-1, 1, size=(3, 12))
+        X, names = make_interaction_design([a, b, c], ["e", "l", "r"])
+        assert names == ["constant", "e", "l", "r", "e*l", "e*r", "l*r",
+                         "e*l*r"]
+        for column, want in zip(X.T, [np.ones(12), a, b, c, a * b, a * c,
+                                      b * c, a * b * c]):
+            np.testing.assert_array_equal(column, want)
 
 
 class TestOlsFit:
@@ -176,7 +185,7 @@ class TestOlsFit:
             for cb in (-1.0, 0.0, 1.0):
                 a += [ca] * reps
                 b += [cb] * reps
-        return make_interaction_design(np.array(a), np.array(b), "A", "B")
+        return make_interaction_design([a, b], ["A", "B"])
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(0)
@@ -191,6 +200,24 @@ class TestOlsFit:
             assert row.t_value == pytest.approx(t[j], rel=1e-10)
             assert row.p_value == pytest.approx(
                 t_p_oracle(t[j], X.shape[0] - 4), rel=1e-6, abs=1e-12)
+
+    def test_three_way_effect_matches_oracle(self):
+        # 2 x 3 x 2 cells, 3 reps: the planted a*b*c term needs the
+        # three-factor design to be fitted at all
+        a, b, c = np.array([(ca, cb, cc) for ca in (-1.0, 1.0)
+                            for cb in (-1.0, 0.0, 1.0) for cc in (-1.0, 1.0)
+                            for _ in range(3)]).T
+        X, names = make_interaction_design([a, b, c], ["A", "B", "C"])
+        y = 50_000 - 4000 * a + 1500 * c + 2500 * a * b * c \
+            + np.random.default_rng(4).normal(0, 500, size=a.size)
+        rows = ols_fit(X, names, y)
+        beta, se, t = ols_oracle(X, y)
+        assert [row.term for row in rows] == names and len(rows) == 8
+        for j, row in enumerate(rows):
+            assert row.coefficient == pytest.approx(beta[j], rel=1e-10)
+            assert row.std_error == pytest.approx(se[j], rel=1e-10)
+            assert row.t_value == pytest.approx(t[j], rel=1e-10)
+        assert rows[-1].term == "A*B*C" and rows[-1].p_value < 1e-6
 
     def test_influence_is_twice_coefficient(self):
         rng = np.random.default_rng(1)
@@ -225,7 +252,7 @@ class TestOlsFit:
 
     def test_singular_design_names_column(self):
         a = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-        X, names = make_interaction_design(a, a, "A", "A2")
+        X, names = make_interaction_design([a, a], ["A", "A2"])
         with pytest.raises(SingularDesignError) as exc:
             ols_fit(X, names, np.arange(6.0))
         assert exc.value.column in names
