@@ -9,6 +9,8 @@ by hand with reverse-mode accumulation; correctness is pinned by
 finite-difference tests.  A network's parameters are one flat vector, so an
 update or a target sync is one vector operation, and its passes write into
 buffers it keeps per row count (see QNetwork for how long results live).
+Every product is an np.dot with the row-major activations or deltas on the
+left: the one orientation measured bit-equal at every row count.
 
 The target network is frozen between syncs and a stored next state never
 changes, so the replay ring keeps each row's next-state target maximum and
@@ -134,6 +136,8 @@ class QNetwork:
     same, takes train_step's gradient.  Passes run on buffers kept per row
     count (a run uses 1 and the batch size): the list `activations` returns
     is valid only until the next call on this network at that row count.
+    Its hidden outputs are views of one block, so one call takes every ReLU
+    mask.  theta is only written in place, so cached views of it stay valid.
 
     Any hidden depth is accepted here; the {2, 4, 8} restriction is a
     DqnConfig concern.  `version` counts copy_from calls: a replay ring's
@@ -149,6 +153,7 @@ class QNetwork:
                                   in zip(self.sizes, self.sizes[1:])))
         self.grad = np.empty_like(self.theta)
         self.layers = self._views(self.theta)
+        self._forward_layers = [(w.T, b) for w, b in self.layers]
         self._grad_layers = self._views(self.grad)
         self._work: dict[int, dict] = {}
         self.version = 0
@@ -187,23 +192,27 @@ class QNetwork:
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """The input batch and every layer's output; the last entry is the
         Q-values, shape (n, output width)."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        a = np.asarray(x, dtype=np.float64)
+        if a.ndim < 2:
+            a = a.reshape(1, -1)
         if a.shape[1] != INPUT_DIM:
             raise ValueError(
                 f"expected input dim {INPUT_DIM}, got {a.shape[1]}")
         n = a.shape[0]
         if n not in self._work:   # this network's buffers for n rows
+            hidden = np.empty((len(self.sizes) - 2, n, self.sizes[1]))
             self._work[n] = dict(
-                acts=[None] + [np.empty((n, k)) for k in self.sizes[1:]],
+                acts=[None, *hidden, np.empty((n, OUTPUT_DIM))],
+                hidden=hidden,   # acts[1:-1] are views of this block
                 deltas=[np.empty((n, k)) for k in self.sizes[1:]],
-                masks=[np.empty((n, k), dtype=bool) for k in self.sizes[1:-1]],
+                masks=np.empty(hidden.shape, dtype=bool),
                 row_starts=np.arange(n) * OUTPUT_DIM,   # flat index of Q[i, 0]
                 taken=np.empty(n, dtype=np.int64))
         acts = self._work[n]["acts"]
         acts[0] = a
         last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            a = np.matmul(a, w.T, out=acts[i + 1])
+        for i, (w_t, b) in enumerate(self._forward_layers):
+            a = np.dot(a, w_t, out=acts[i + 1])
             a += b
             if i < last:
                 np.maximum(a, 0.0, out=a)
@@ -273,20 +282,23 @@ def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     n = acts[0].shape[0]
     work = net._work[n]
     taken = np.add(work["row_starts"], actions, out=work["taken"])
-    err = acts[-1].take(taken) - targets
+    err = acts[-1].take(taken)
+    err -= targets
     loss = float((err * err).sum() / n)   # np.mean(err ** 2), bit for bit
+    err *= 2.0
+    err /= n
 
     d_out = work["deltas"][-1]
     d_out.fill(0.0)
-    np.put(d_out, taken, 2.0 * err / n)
+    np.put(d_out, taken, err)
+    masks = np.greater(work["hidden"], 0.0, out=work["masks"])
     for i in range(len(net.layers) - 1, -1, -1):
         dw, db = grads[i]
-        np.matmul(d_out.T, acts[i], out=dw)
-        d_out.sum(axis=0, out=db)
+        np.dot(d_out.T, acts[i], out=dw)
+        np.add.reduce(d_out, 0, None, db)
         if i > 0:
-            d_out = np.matmul(d_out, net.layers[i][0],
-                              out=work["deltas"][i - 1])
-            d_out *= np.greater(acts[i], 0.0, out=work["masks"][i - 1])
+            d_out = np.dot(d_out, net.layers[i][0], out=work["deltas"][i - 1])
+            d_out *= masks[i - 1]
     return loss, grads
 
 
@@ -356,8 +368,9 @@ class ReplayBuffer:
                 f"buffer holds {len(self)} < {n} transitions")
         idx = rng.choice(len(self), size=n, replace=False)
         rows = self._rows
-        return Batch(rows.states[idx], rows.actions[idx], rows.rewards[idx],
-                     rows.next_states[idx], rows.done[idx], self, idx)
+        return Batch(rows.states.take(idx, 0), rows.actions.take(idx, 0),
+                     rows.rewards.take(idx, 0), rows.next_states.take(idx, 0),
+                     rows.done.take(idx, 0), self, idx)
 
     def target_maxima(self, target_net: QNetwork,
                       idx: np.ndarray) -> np.ndarray:

@@ -262,3 +262,33 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
     assert target.version == ref_target.version
     assert_same(net.theta, reference_theta(ref), exact)
     assert_same(target.theta, reference_theta(ref_target), exact)
+
+
+def test_every_row_count_matches_reference_bitwise():
+    """The flat learner's forward pass, loss and gradients equal the
+    per-layer reference bit for bit at every row count, not only at
+    position-stable ones: both run the same products in the same
+    orientation on the same rows.  Computing a layer as W @ A.T into a
+    transposed buffer instead of A @ W.T changes the last bits at some row
+    counts; depth 0 checks a network without hidden layers."""
+    rng = np.random.default_rng(19)
+    for depth in range(9):
+        for width in (1, 7, 16, 64):
+            net = QNetwork(depth, width, rng)
+            for _, b in net.layers:
+                b[...] = rng.normal(scale=0.1, size=b.shape)
+            ref = reference_dqn.QNetwork.from_layers(net.layers)
+            for n in range(1, 41):
+                x = rng.normal(size=(n, 6))
+                actions = rng.integers(3, size=n)
+                targets = rng.normal(size=n)
+                where = (depth, width, n)
+                assert np.array_equal(net.activations(x)[-1],
+                                      ref.activations(x)[-1]), where
+                loss, grads = loss_and_grads(net, x, actions, targets)
+                ref_loss, ref_grads = reference_dqn.loss_and_grads(
+                    ref, x, actions, targets)
+                assert loss == ref_loss, where
+                for got, want in zip(grads, ref_grads):
+                    assert np.array_equal(got[0], want[0]), where
+                    assert np.array_equal(got[1], want[1]), where
