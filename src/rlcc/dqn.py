@@ -37,8 +37,8 @@ class InsufficientDataError(RuntimeError):
     """Replay buffer holds fewer transitions than the requested sample."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One replay row in push's order; a caller's batch is a list of these."""
     state: np.ndarray       # six normalized reals
     action_index: int       # 0 decrease, 1 hold, 2 increase
     reward: float
@@ -62,25 +62,22 @@ class Batch(NamedTuple):
 
 
 def check_actions(actions) -> None:
-    """Reject action indices outside 0..OUTPUT_DIM-1: the flat gather of the
-    taken actions' Q-values would read a neighbouring row's."""
+    """Reject action indices that are not integers in 0..OUTPUT_DIM-1: the
+    flat gather of the taken Q-values would read a neighbouring row's."""
     actions = np.asarray(actions)
-    if actions.size and not 0 <= actions.min() <= actions.max() < OUTPUT_DIM:
-        raise ValueError(f"actions must be in 0..{OUTPUT_DIM - 1}")
+    if actions.dtype.kind not in "iu" or actions.size and not \
+            0 <= actions.min() <= actions.max() < OUTPUT_DIM:
+        raise ValueError(f"actions must be integers in 0..{OUTPUT_DIM - 1}")
 
 
 def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
-    """A Batch as is, or a sequence of Transitions stacked into one.  A
-    batch not sampled from a ring has its actions checked here; a ring
-    checks each action at push."""
+    """A Batch as is, or a sequence of Transitions stacked field by field
+    into one.  A batch not sampled from a ring has its actions checked here;
+    a ring checks each action at push."""
     if not isinstance(batch, Batch):
         if not batch:
             raise ValueError("batch must be non-empty")
-        batch = Batch(np.stack([t.state for t in batch]),
-                      np.array([t.action_index for t in batch]),
-                      np.array([t.reward for t in batch]),
-                      np.stack([t.next_state for t in batch]),
-                      np.array([t.done for t in batch]))
+        batch = Batch(*map(np.array, zip(*batch)))
     if len(batch.rewards) == 0:
         raise ValueError("batch must be non-empty")
     if batch.ring is None:
@@ -345,20 +342,24 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
-    def push(self, tr: Transition) -> None:
-        # Row assignment would broadcast a wrongly shaped state silently.
-        if np.shape(tr.state) != (INPUT_DIM,) \
-                or np.shape(tr.next_state) != (INPUT_DIM,):
+    def push(self, state: np.ndarray, action_index: int, reward: float,
+             next_state: np.ndarray, done: bool) -> None:
+        # Row assignment would silently broadcast a bad shape or cast 1.7 to 1.
+        if np.shape(state) != (INPUT_DIM,) \
+                or np.shape(next_state) != (INPUT_DIM,):
             raise ValueError(f"states must have shape ({INPUT_DIM},)")
-        if not 0 <= tr.action_index < OUTPUT_DIM:
-            raise ValueError(f"action_index must be in 0..{OUTPUT_DIM - 1}")
+        if isinstance(action_index, bool) \
+                or not isinstance(action_index, (int, np.integer)) \
+                or not 0 <= action_index < OUTPUT_DIM:
+            raise ValueError(
+                f"action_index must be an integer in 0..{OUTPUT_DIM - 1}")
         row = self._pushed % self.capacity
         rows = self._rows
-        rows.states[row] = tr.state
-        rows.actions[row] = tr.action_index
-        rows.rewards[row] = tr.reward
-        rows.next_states[row] = tr.next_state
-        rows.done[row] = tr.done
+        rows.states[row] = state
+        rows.actions[row] = action_index
+        rows.rewards[row] = reward
+        rows.next_states[row] = next_state
+        rows.done[row] = done
         self._fresh[row] = False
         self._pushed += 1
 
@@ -428,8 +429,9 @@ class DqnAgent:
         q = self.net.activations(state)[-1][0]
         return act_epsilon_greedy(q, self.last_epsilon, self.rng)
 
-    def observe(self, tr: Transition) -> None:
-        self.buffer.push(tr)
+    def observe(self, state: np.ndarray, action_index: int, reward: float,
+                next_state: np.ndarray, done: bool) -> None:
+        self.buffer.push(state, action_index, reward, next_state, done)
 
     def learn(self) -> float | None:
         """Train on one sampled batch if enough data; returns the loss."""

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .netsim import SimConfig, Simulator
-
-#: Fixed normalization constants: cwnd, segment bytes, bytes sent, RTT ms,
-#: segments acked, throughput B/s.
-DEFAULT_SCALES = (200.0, 1500.0, 1e7, 1000.0, 1e4, 250000.0)
-_SCALES = np.array(DEFAULT_SCALES, dtype=np.float64)
 
 
 class EpisodeDoneError(RuntimeError):
@@ -37,8 +33,8 @@ class Action(enum.IntEnum):
         return int(self) - 1
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
+    """The six flow observables; normalize keeps this field order."""
     cwnd_segments: int
     segment_bytes: int
     bytes_sent_total: int
@@ -47,8 +43,14 @@ class Observation:
     throughput_Bps: float
 
 
-@dataclass(frozen=True)
-class StepResult:
+#: Fixed normalization constants, one per observable.
+DEFAULT_SCALES = Observation(
+    cwnd_segments=200.0, segment_bytes=1500.0, bytes_sent_total=1e7,
+    avg_rtt_ms=1000.0, segments_acked_total=1e4, throughput_Bps=250000.0)
+_SCALES = np.array(DEFAULT_SCALES, dtype=np.float64)
+
+
+class StepResult(NamedTuple):
     observation: Observation
     reward: float
     done: bool
@@ -78,10 +80,7 @@ def compute_reward(throughput_Bps: float, bottleneck_rate_bps: int) -> float:
 
 def normalize(obs: Observation) -> np.ndarray:
     """The six observables, in field order, divided by DEFAULT_SCALES."""
-    return np.array([obs.cwnd_segments, obs.segment_bytes,
-                     obs.bytes_sent_total, obs.avg_rtt_ms,
-                     obs.segments_acked_total, obs.throughput_Bps],
-                    dtype=np.float64) / _SCALES
+    return np.array(obs, dtype=np.float64) / _SCALES
 
 
 class Env:
@@ -91,34 +90,29 @@ class Env:
         cfg.validate()
         self.cfg = cfg
         self._sim: Simulator | None = None
-        self._step_count = 0
-        self._done = True
-        self._throughput_Bps = 0.0
+        self._step_count = cfg.episode_length   # no episode until reset()
 
     def reset(self, seed: int) -> Observation:
         self._sim = Simulator(replace(self.cfg.sim, seed=seed))
         self._step_count = 0
-        self._done = False
-        self._throughput_Bps = 0.0
-        return self._observe()
+        return self._observe(0.0)
 
-    def step(self, action: Action) -> StepResult:
-        if self._sim is None or self._done:
+    def step(self, action: Action | int) -> StepResult:
+        if self._step_count >= self.cfg.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
         self._sim.set_cwnd(min(self.cfg.sim.cwnd_max,
                                max(1, self._sim.cwnd + Action(action).delta)))
-        self._throughput_Bps = self._sim.advance(self.cfg.decision_interval_ms)
+        throughput_Bps = self._sim.advance(self.cfg.decision_interval_ms)
         self._step_count += 1
-        self._done = self._step_count >= self.cfg.episode_length
         return StepResult(
-            observation=self._observe(),
-            reward=compute_reward(self._throughput_Bps,
+            observation=self._observe(throughput_Bps),
+            reward=compute_reward(throughput_Bps,
                                   self.cfg.sim.bottleneck_link.rate_bps),
-            done=self._done,
+            done=self._step_count >= self.cfg.episode_length,
             step_index=self._step_count,
         )
 
-    def _observe(self) -> Observation:
+    def _observe(self, throughput_Bps: float) -> Observation:
         c = self._sim.counters()
         return Observation(
             cwnd_segments=c.cwnd_segments,
@@ -126,5 +120,5 @@ class Env:
             bytes_sent_total=c.bytes_sent_total,
             avg_rtt_ms=c.rtt_ewma_ms,
             segments_acked_total=c.segments_acked_total,
-            throughput_Bps=self._throughput_Bps,
+            throughput_Bps=throughput_Bps,
         )

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig, Transition,
+from .dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig,
                   TrainingDivergedError)
-from .env import Action, Env, EnvConfig, normalize
+from .env import Env, EnvConfig, normalize
 
 
 class InvalidDesignError(ValueError):
@@ -178,12 +178,12 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         else:
             action = agent.select_action(state)
             epsilon = agent.last_epsilon
-        result = env.step(Action(action))
+        result = env.step(action)
         next_state = normalize(result.observation)
         loss = None
         if agent is not None:
-            agent.observe(Transition(state, action, result.reward,
-                                     next_state, result.done))
+            agent.observe(state, action, result.reward, next_state,
+                          result.done)
             try:
                 for _ in range(dqn_cfg.train_updates_per_step):
                     loss = agent.learn()

@@ -38,6 +38,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvalidConfigError(ValueError):
@@ -86,8 +87,7 @@ class SimConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class FlowCounters:
+class FlowCounters(NamedTuple):
     bytes_sent_total: int
     segments_acked_total: int
     rtt_ewma_ms: float

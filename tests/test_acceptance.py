@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from rlcc.cli import run as cli_run
-from rlcc.dqn import (DqnAgent, DqnConfig, QNetwork, Transition,
-                      loss_and_grads)
+from rlcc.dqn import DqnAgent, DqnConfig, QNetwork, loss_and_grads
 from rlcc.env import EnvConfig
 from rlcc.experiments import (RunSpec, convergence_step, derive_seed,
                               execute_run)
@@ -171,7 +170,7 @@ def test_bandit_sanity():
             s[0] = rng.random()
             a = agent.select_action(s)
             optimal = 2 if s[0] > 0.5 else 0
-            agent.observe(Transition(s, a, float(a == optimal), s, True))
+            agent.observe(s, a, float(a == optimal), s, True)
             agent.learn()
         correct = 0
         for _ in range(500):

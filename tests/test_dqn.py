@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, Batch, DqnAgent, DqnConfig,
                       InsufficientDataError, QNetwork, ReplayBuffer,
                       Transition, TrainingDivergedError, act_epsilon_greedy,
-                      epsilon_at, loss_and_grads, td_targets, train_step)
+                      as_batch, epsilon_at, loss_and_grads, td_targets,
+                      train_step)
 
 
 def small_net(hidden_count=2, width=8, seed=0):
@@ -180,7 +181,7 @@ class TestTdTargets:
         with pytest.raises(ValueError):
             td_targets([], small_net(), 0.95)
 
-    @pytest.mark.parametrize("action", [-1, 3, 5])
+    @pytest.mark.parametrize("action", [-1, 3, 5, 1.5])
     def test_caller_batch_action_out_of_range_rejected(self, action):
         trs = random_batch(np.random.default_rng(4), n=3)
         trs[1] = Transition(np.zeros(6), action, 0.0, np.zeros(6), False)
@@ -269,7 +270,7 @@ class TestReplayBuffer:
         trs = [Transition(np.full(6, i), 0, float(i), np.zeros(6), False)
                for i in range(5)]
         for tr in trs:
-            buf.push(tr)
+            buf.push(*tr)
         everything = buf.sample(len(buf), np.random.default_rng(0))
         rewards = sorted(everything.rewards)
         assert rewards == [2.0, 3.0, 4.0]
@@ -277,7 +278,7 @@ class TestReplayBuffer:
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(10)
         for i in range(10):
-            buf.push(Transition(np.zeros(6), 0, float(i), np.zeros(6), False))
+            buf.push(np.zeros(6), 0, float(i), np.zeros(6), False)
         rng = np.random.default_rng(0)
         for _ in range(50):
             rewards = list(buf.sample(10, rng).rewards)
@@ -285,7 +286,7 @@ class TestReplayBuffer:
 
     def test_insufficient_data(self):
         buf = ReplayBuffer(10)
-        buf.push(Transition(np.zeros(6), 0, 0.0, np.zeros(6), False))
+        buf.push(np.zeros(6), 0, 0.0, np.zeros(6), False)
         with pytest.raises(InsufficientDataError):
             buf.sample(2, np.random.default_rng(0))
 
@@ -295,20 +296,25 @@ class TestReplayBuffer:
     def test_rejects_misshaped_states(self, state, next_state):
         buf = ReplayBuffer(4)
         with pytest.raises(ValueError, match="shape"):
-            buf.push(Transition(state, 0, 0.0, next_state, False))
+            buf.push(state, 0, 0.0, next_state, False)
         assert len(buf) == 0
 
-    @pytest.mark.parametrize("action", [-1, 3, 5])
+    @pytest.mark.parametrize("action", [-1, 3, 5, 1.7, True, np.float64(1.0)])
     def test_rejects_action_out_of_range(self, action):
         buf = ReplayBuffer(4)
         with pytest.raises(ValueError, match="action"):
-            buf.push(Transition(np.zeros(6), action, 0.0, np.zeros(6), False))
+            buf.push(np.zeros(6), action, 0.0, np.zeros(6), False)
         assert len(buf) == 0
+
+    def test_accepts_numpy_integer_action(self):
+        buf = ReplayBuffer(4)
+        buf.push(np.zeros(6), np.int64(2), 0.0, np.zeros(6), False)
+        assert buf.sample(1, np.random.default_rng(0)).actions[0] == 2
 
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(100)
         for i in range(100):
-            buf.push(Transition(np.zeros(6), 0, float(i), np.zeros(6), False))
+            buf.push(np.zeros(6), 0, float(i), np.zeros(6), False)
         rng = np.random.default_rng(1)
         hits = np.zeros(100)
         draws = 2000
@@ -380,7 +386,7 @@ class TestReplayRingMatchesList:
             tr = Transition(source.normal(size=6), int(source.integers(3)),
                             float(source.normal()), source.normal(size=6),
                             bool(source.random() < 0.3))
-            ring.push(tr)
+            ring.push(*tr)
             reference.push(tr)
         assert len(ring) == len(reference)
 
@@ -392,6 +398,10 @@ class TestReplayRingMatchesList:
             batch = ring.sample(n, ring_rng)
             expected = reference.sample(n, ref_rng)
             for got, want in zip(batch[:5], stack_reference(expected)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            for got, want in zip(as_batch(expected)[:5],
+                                 stack_reference(expected)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             loss = train_step(net, target, batch, lr=0.01, gamma=0.95)
@@ -434,16 +444,16 @@ class TestAgent:
     def test_learn_waits_for_full_batch(self):
         agent = DqnAgent(DqnConfig(seed=0, batch_size=8))
         for i in range(7):
-            agent.observe(Transition(np.zeros(6), 0, 0.0, np.zeros(6), False))
+            agent.observe(np.zeros(6), 0, 0.0, np.zeros(6), False)
             assert agent.learn() is None
-        agent.observe(Transition(np.zeros(6), 0, 0.0, np.zeros(6), False))
+        agent.observe(np.zeros(6), 0, 0.0, np.zeros(6), False)
         assert agent.learn() is not None
 
     def test_target_sync_cadence(self):
         agent = DqnAgent(DqnConfig(seed=0, batch_size=4, target_sync_every=5))
         rng = np.random.default_rng(2)
         for tr in random_batch(rng, 4):
-            agent.observe(tr)
+            agent.observe(*tr)
         for step in range(1, 11):
             agent.learn()
             synced = all(
@@ -462,7 +472,7 @@ class TestAgent:
             s[0] = rng.random()
             a = agent.select_action(s)
             optimal = 2 if s[0] > 0.5 else 0
-            agent.observe(Transition(s, a, float(a == optimal), s, True))
+            agent.observe(s, a, float(a == optimal), s, True)
             agent.learn()
         correct = 0
         for _ in range(300):

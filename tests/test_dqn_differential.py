@@ -109,8 +109,8 @@ def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
         tr = Transition(source.normal(size=6), int(source.integers(3)),
                         float(source.normal()), source.normal(size=6),
                         bool(source.random() < 0.2))
-        agent.observe(tr)
-        reference.observe(tr)
+        agent.observe(*tr)
+        reference.observe(*tr)
         for _ in range(updates):
             try:
                 loss = agent.learn()
@@ -231,8 +231,8 @@ def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
         tr = Transition(source.normal(size=6), int(source.integers(3)),
                         float(source.normal()), source.normal(size=6),
                         bool(source.random() < 0.2))
-        ring.push(tr)
-        ref_ring.push(tr)
+        ring.push(*tr)
+        ref_ring.push(*tr)
         if len(ring) < batch_size:
             continue
         batch = ring.sample(batch_size, rng)
