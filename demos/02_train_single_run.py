@@ -9,17 +9,12 @@ import statistics
 
 from rlcc.dqn import DqnConfig
 from rlcc.env import EnvConfig
-from rlcc.experiments import RunSpec, derive_seed, execute_run
-
-
-def make_spec(rep):
-    return RunSpec(run_id=f"demo-r{rep}", layers=2, learning_rate=0.01,
-                   error_rate=0.0, rep=rep,
-                   seed=derive_seed(42, 2, 0.01, 0.0, rep))
+from rlcc.experiments import execute_run, make_spec
 
 
 def main():
-    spec = make_spec(0)
+    # the grid's rep-0 run of the depth-2, lr 0.01, error-free cell
+    spec = make_spec(2, 0.01, 0.0, 0, base_seed=42)
     trained, trace = execute_run(spec, EnvConfig(), DqnConfig(), policy="dqn")
     random_, _ = execute_run(spec, EnvConfig(), DqnConfig(), policy="random")
 

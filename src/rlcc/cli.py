@@ -280,6 +280,41 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _execute(job):
+    # module-level, so a pool can pickle it; execute_run is looked up per
+    # call, so forked workers run a wrapped or patched one too
+    return experiments.execute_run(*job)
+
+
+def run_specs(specs, env_cfg, dqn_cfg, out_dir, policy="dqn", jobs=None):
+    """Run the specs, write runs.csv and steps.csv in spec order, and return
+    the records.  Workers: min(jobs, usable CPUs, runs), jobs defaulting to
+    the CPUs; above one, a pool takes one run per task."""
+    work = [(spec, env_cfg, dqn_cfg, policy) for spec in specs]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs or cpus, cpus, len(work))
+    if workers > 1:
+        # The workers fork at the first submit.  A frozen heap keeps a full
+        # collection here from writing the headers of objects they share;
+        # collecting first keeps the garbage out of what is frozen.
+        gc.collect()
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_execute, work, chunksize=1))
+        finally:
+            gc.unfreeze()
+    else:
+        results = [_execute(job) for job in work]
+    records = [rec for rec, _ in results]
+    write_csv_atomic(os.path.join(out_dir, "runs.csv"),
+                     RUNS_HEADER, [record_to_row(r) for r in records])
+    write_csv_atomic(os.path.join(out_dir, "steps.csv"), STEPS_HEADER,
+                     [row for _, trace in results for row in trace])
+    return records
+
+
 def cmd_single_run(args) -> int:
     """train (online DQN) or baseline (uniform-random actions): one episode."""
     policy = args.subcommand
@@ -287,37 +322,20 @@ def cmd_single_run(args) -> int:
     _, env_cfg, dqn_cfg = build_configs(settings)
     report_unread(policy, settings)
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
-    layers, lr = dqn_cfg.hidden_count, dqn_cfg.learning_rate
-    error_rate = env_cfg.sim.bottleneck_link.loss_prob
-    if args.seed is not None:
-        if args.seed < 0:
-            raise CliError("--seed must be >= 0")
-        seed = args.seed
-    else:
-        seed = experiments.derive_seed(args.base_seed, layers, lr,
-                                       error_rate, 0)
-    spec = experiments.RunSpec(
-        run_id=policy, layers=layers, learning_rate=lr,
-        error_rate=error_rate, rep=0, seed=seed)
-    record, trace = experiments.execute_run(
-        spec, env_cfg, dqn_cfg,
-        policy="random" if policy == "baseline" else "dqn")
-    write_csv_atomic(os.path.join(args.out_dir, "steps.csv"),
-                     STEPS_HEADER, trace)
-    row = record_to_row(record)
-    write_csv_atomic(os.path.join(args.out_dir, "runs.csv"),
-                     RUNS_HEADER, [row])
-    for key, value in zip(RUNS_HEADER, row):
+    if args.seed is not None and args.seed < 0:
+        raise CliError("--seed must be >= 0")
+    spec = experiments.make_spec(
+        dqn_cfg.hidden_count, dqn_cfg.learning_rate,
+        env_cfg.sim.bottleneck_link.loss_prob, 0, args.base_seed,
+        run_id=policy, seed=args.seed)
+    [record] = run_specs([spec], env_cfg, dqn_cfg, args.out_dir,
+                         policy="random" if policy == "baseline" else "dqn")
+    for key, value in zip(RUNS_HEADER, record_to_row(record)):
         print(f"{key}={'' if value is None else value}")
     if record.diverged:
         print("training diverged; partial trace retained", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
-
-
-def _grid_worker(job):
-    spec, env_cfg, dqn_cfg = job
-    return experiments.execute_run(spec, env_cfg, dqn_cfg, policy="dqn")
 
 
 def cmd_grid(args) -> int:
@@ -336,32 +354,8 @@ def cmd_grid(args) -> int:
             base_seed=args.base_seed)
     except experiments.InvalidDesignError as exc:
         raise CliError(str(exc))
-    jobs = [(spec, env_cfg, dqn_cfg) for spec in specs]
-    # A pool starts all its workers at once, so never more than the CPUs
-    # this process may run on or the runs; one run per task lets a free
-    # worker take the next run.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(args.jobs or cpus, cpus, len(jobs))
-    if workers > 1:
-        # The workers fork at the first submit.  A frozen heap keeps a full
-        # collection here from writing the headers of objects they share;
-        # collecting first keeps the garbage out of what is frozen.
-        gc.collect()
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_grid_worker, jobs, chunksize=1))
-        finally:
-            gc.unfreeze()
-    else:
-        results = [_grid_worker(job) for job in jobs]
-    records = [rec for rec, _ in results]
-    steps_rows = [row for _, trace in results for row in trace]
-    write_csv_atomic(os.path.join(args.out_dir, "runs.csv"),
-                     RUNS_HEADER, [record_to_row(r) for r in records])
-    write_csv_atomic(os.path.join(args.out_dir, "steps.csv"),
-                     STEPS_HEADER, steps_rows)
+    records = run_specs(specs, env_cfg, dqn_cfg, args.out_dir,
+                        jobs=args.jobs)
     diverged = sum(r.diverged for r in records)
     print(f"runs={len(records)} diverged={diverged}")
     return EXIT_PARTIAL if diverged else EXIT_OK

@@ -380,8 +380,9 @@ class ReplayBuffer:
         When a drawn row is stale, every stale row is evaluated first, so
         rows pushed since the last evaluation share its calls.  Each call
         has exactly len(idx) rows, the last one zero-padded, because a BLAS
-        gemm row's bits can depend on the call's row count: on OpenBLAS's
-        Haswell dgemm at width 64, a row in a k-row call matched the same
+        gemm row's bits can depend on the call's row count: on the dgemm
+        OpenBLAS ran at width 64 (runtime core SkylakeX; Haswell is only the
+        build target numpy reports), a row in a k-row call matched the same
         row in a 32-row call only for k = 20, 24, 28 and 32, so less padding
         would change training's last bits.  Where a row's bits do not also
         depend on its position in the call (there: 1-4 rows or a multiple

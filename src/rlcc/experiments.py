@@ -87,15 +87,15 @@ def derive_seed(base_seed: int, layers: int, learning_rate: float,
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def _make_spec(layers, learning_rate, error_rate, rep, base_seed) -> RunSpec:
+def make_spec(layers, learning_rate, error_rate, rep, base_seed,
+              run_id=None, seed=None) -> RunSpec:
+    """One (cell, rep)'s run; run_id and seed default to the grid's."""
+    if seed is None:
+        seed = derive_seed(base_seed, layers, learning_rate, error_rate, rep)
     return RunSpec(
-        run_id=f"l{layers}-lr{learning_rate}-e{error_rate}-r{rep}",
-        layers=layers,
-        learning_rate=learning_rate,
-        error_rate=error_rate,
-        rep=rep,
-        seed=derive_seed(base_seed, layers, learning_rate, error_rate, rep),
-    )
+        run_id=run_id or f"l{layers}-lr{learning_rate}-e{error_rate}-r{rep}",
+        layers=layers, learning_rate=learning_rate, error_rate=error_rate,
+        rep=rep, seed=seed)
 
 
 def enumerate_runs(factors: FactorLevels, reps: int = 10,
@@ -105,7 +105,7 @@ def enumerate_runs(factors: FactorLevels, reps: int = 10,
     if reps < 1:
         raise InvalidDesignError("reps must be >= 1")
     cells = product(factors.layers, factors.learning_rate, factors.error_rate)
-    return [_make_spec(l, lr, e, rep, base_seed)
+    return [make_spec(l, lr, e, rep, base_seed)
             for l, lr, e in sorted(cells) for rep in range(reps)]
 
 

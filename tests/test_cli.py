@@ -565,16 +565,27 @@ class TestTrainAndBaseline:
 
 class TestGrid:
     def test_full_grid_csvs(self, tmp_path, capsys):
+        grid = tmp_path / "grid"
         code = run_cli("grid", *FAST, "--reps", "1", "--jobs", "2",
-                       "--out-dir", str(tmp_path))
+                       "--base-seed", "7", "--out-dir", str(grid))
         assert code == 0
-        runs = read_csv(tmp_path / "runs.csv")
+        runs = read_csv(grid / "runs.csv")
         assert runs[0] == RUNS_HEADER
         assert len(runs) == 13  # 12 cells x 1 rep + header
-        steps = read_csv(tmp_path / "steps.csv")
+        steps = read_csv(grid / "steps.csv")
         assert len(steps) == 12 * 40 + 1
         cells = {(r[1], r[2], r[3]) for r in runs[1:]}
         assert len(cells) == 12
+        # train alone gives its cell's rep-0 grid run, but for the run_id
+        alone = tmp_path / "alone"
+        assert run_cli("train", *FAST, "--layers", "8", "--lr", "0.001",
+                       "--error-rate", "0.2", "--base-seed", "7",
+                       "--out-dir", str(alone)) == 0
+        run_id = "l8-lr0.001-e0.2-r0"
+        [grid_run] = [r[1:] for r in runs[1:] if r[0] == run_id]
+        assert [r[1:] for r in read_csv(alone / "runs.csv")[1:]] == [grid_run]
+        assert [r[1:] for r in read_csv(alone / "steps.csv")[1:]] \
+            == [r[1:] for r in steps[1:] if r[0] == run_id]
 
     def test_pairwise_design_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

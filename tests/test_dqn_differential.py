@@ -14,10 +14,12 @@ number of pushes), syncs from every update to rarely, and batch sizes 1-32.
 The ring evaluates a row in a call of batch-size rows at some position;
 the old chain evaluated it at its sampled position.  Where BLAS gives a
 row the same bits at every position of a call of that size, every loss and
-the final weights must be bitwise equal.  OpenBLAS's Haswell dgemm at width
+the final weights must be bitwise equal.  The dgemm OpenBLAS runs at width
 64 does so for 1-4 rows and multiples of 4, the default 32 included; at
 other sizes it computes the last rows with a narrower kernel, and the two
-chains may differ in their last bits.
+chains may differ in their last bits.  This was measured on the SkylakeX
+core OpenBLAS 0.3.31 picked at run time; the "Haswell" numpy's show_config
+reports is its DYNAMIC_ARCH build target, not the kernel that ran.
 """
 
 import numpy as np
