@@ -47,7 +47,7 @@ from . import experiments, stats
 from .dqn import DqnConfig
 from .env import EnvConfig
 from .experiments import STEPS_HEADER, Step
-from .netsim import InvalidConfigError, SimConfig, Simulator, validate_config
+from .netsim import SimConfig, Simulator, validate_config
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -178,7 +178,7 @@ def build_configs(settings: dict[str, str]):
         validate_config(sim_cfg)
         env_cfg.validate()
         dqn_cfg.validate()
-    except (InvalidConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     return sim_cfg, env_cfg, dqn_cfg
 
@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
     try:
         sim = Simulator(sim_cfg)
         sim.set_cwnd(args.cwnd)
-    except (InvalidConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     rows = []
     for step in range(1, steps + 1):
@@ -341,6 +341,8 @@ def cmd_single_run(args) -> int:
 def cmd_grid(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    if args.reps < 1:
+        raise CliError("--reps must be >= 1")
     settings = gather_settings(args)
     for key in FACTOR_KEYS.values():
         if key in settings:
@@ -348,12 +350,8 @@ def cmd_grid(args) -> int:
                            "be configured")
     _, env_cfg, dqn_cfg = build_configs(settings)
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
-    try:
-        specs = experiments.enumerate_runs(
-            experiments.FactorLevels(), reps=args.reps,
-            base_seed=args.base_seed)
-    except experiments.InvalidDesignError as exc:
-        raise CliError(str(exc))
+    specs = experiments.enumerate_runs(
+        experiments.FactorLevels(), reps=args.reps, base_seed=args.base_seed)
     records = run_specs(specs, env_cfg, dqn_cfg, args.out_dir,
                         jobs=args.jobs)
     diverged = sum(r.diverged for r in records)
@@ -379,6 +377,9 @@ def cmd_analyze(args) -> int:
     most = len(fields(experiments.FactorLevels))
     if not 2 <= len(factor_names) <= most:
         raise CliError(f"--factors expects 2 to {most} comma-separated names")
+    for name in factor_names:
+        if factor_names.count(name) > 1:
+            raise CliError(f"--factors names {name!r} more than once")
     rows = _parse_runs_csv(args.runs)
     if not rows:
         raise CliError(f"{args.runs} contains no runs")
@@ -405,7 +406,7 @@ def cmd_analyze(args) -> int:
     try:
         coded = {name: [stats.code_level(name, v) for v in cells(name)]
                  for name in factor_names}
-    except stats.InvalidLevelError as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     for name in factor_names:
         if len(set(coded[name])) < 2:
@@ -426,7 +427,7 @@ def cmd_analyze(args) -> int:
         [coded[n] for n in factor_names], factor_names)
     try:
         table = stats.ols_fit(X, names, y)
-    except (stats.SingularDesignError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     for cell, (n_kept, n_dropped) in counts.items():
         print(f"cell {_labels(factor_names, cell)}: kept {n_kept}, "

@@ -100,6 +100,9 @@ class Env:
     def step(self, action: Action | int) -> StepResult:
         if self._step_count >= self.cfg.episode_length:
             raise EpisodeDoneError("episode is finished; call reset()")
+        # Action() would take True as HOLD and 2.0 as INCREASE
+        if type(action) is bool or not isinstance(action, (int, np.integer)):
+            raise ValueError(f"action must be an integer, got {action!r}")
         self._sim.set_cwnd(min(self.cfg.sim.cwnd_max,
                                max(1, self._sim.cwnd + Action(action).delta)))
         throughput_Bps = self._sim.advance(self.cfg.decision_interval_ms)

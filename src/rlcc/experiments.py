@@ -21,13 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig,
+from .dqn import (ALLOWED_HIDDEN_COUNTS, OUTPUT_DIM, DqnAgent, DqnConfig,
                   TrainingDivergedError)
 from .env import Env, EnvConfig, normalize
-
-
-class InvalidDesignError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def enumerate_runs(factors: FactorLevels, reps: int = 10,
     """The full factorial design: every combination of the level sets,
     ordered cell-lexicographic then rep."""
     if reps < 1:
-        raise InvalidDesignError("reps must be >= 1")
+        raise ValueError("reps must be >= 1")
     cells = product(factors.layers, factors.learning_rate, factors.error_rate)
     return [make_spec(l, lr, e, rep, base_seed)
             for l, lr, e in sorted(cells) for rep in range(reps)]
@@ -138,18 +134,6 @@ def convergence_step(cwnd_series):
     return t
 
 
-def _override_env_cfg(env_cfg: EnvConfig, error_rate: float) -> EnvConfig:
-    bn = replace(env_cfg.sim.bottleneck_link, loss_prob=error_rate)
-    return replace(env_cfg, sim=replace(env_cfg.sim, bottleneck_link=bn))
-
-
-def _override_dqn_cfg(dqn_cfg: DqnConfig, spec: RunSpec) -> DqnConfig:
-    return replace(dqn_cfg, hidden_count=spec.layers,
-                   learning_rate=spec.learning_rate,
-                   # decorrelate the agent's stream from the channel noise
-                   seed=spec.seed ^ 0x5DEECE66D)
-
-
 def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 policy: str = "dqn"):
     """Run one online episode and return (RunRecord, trace rows).
@@ -161,9 +145,12 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
     if policy not in ("dqn", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     t_start = time.monotonic()
-    env = Env(_override_env_cfg(env_cfg, spec.error_rate))
-    agent = DqnAgent(_override_dqn_cfg(dqn_cfg, spec)) \
-        if policy == "dqn" else None
+    bn = replace(env_cfg.sim.bottleneck_link, loss_prob=spec.error_rate)
+    env = Env(replace(env_cfg, sim=replace(env_cfg.sim, bottleneck_link=bn)))
+    agent = DqnAgent(replace(
+        dqn_cfg, hidden_count=spec.layers, learning_rate=spec.learning_rate,
+        # decorrelate the agent's stream from the channel noise
+        seed=spec.seed ^ 0x5DEECE66D)) if policy == "dqn" else None
     baseline_rng = np.random.default_rng(spec.seed ^ 0x9E3779B9)
 
     obs = env.reset(spec.seed)
@@ -173,7 +160,7 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
 
     for _ in range(env_cfg.episode_length):
         if agent is None:
-            action = int(baseline_rng.integers(3))
+            action = int(baseline_rng.integers(OUTPUT_DIM))
             epsilon = None
         else:
             action = agent.select_action(state)

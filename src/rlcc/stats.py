@@ -28,10 +28,6 @@ PERFECT_FIT_RTOL = 1e-12
 _CF_EPS, _CF_MAX_STEPS, _CF_TINY = 1e-15, 200, 1e-300
 
 
-class InvalidLevelError(ValueError):
-    pass
-
-
 class SingularDesignError(ValueError):
     """Design matrix is rank deficient; names the dependent column."""
 
@@ -40,27 +36,19 @@ class SingularDesignError(ValueError):
         super().__init__(f"design matrix is rank deficient at column {column!r}")
 
 
-def _coding(levels) -> dict:
-    """Sorted levels by index onto evenly spaced points of [-1, +1]."""
-    levels = sorted(levels)
-    return {level: 2.0 * i / (len(levels) - 1) - 1.0
-            for i, level in enumerate(levels)}
-
-
-#: factor -> {level: coded}, derived from the experiment's declared levels.
-_CODINGS = {name: _coding(levels)
+#: factor -> {level: coded}: the experiment's declared levels, sorted, by
+#: index onto evenly spaced points of [-1, +1].
+_CODINGS = {name: {level: 2.0 * i / (len(levels) - 1) - 1.0
+                   for i, level in enumerate(sorted(levels))}
             for name, levels in asdict(FactorLevels()).items()}
 
 
 def code_level(factor: str, raw) -> float:
-    try:
-        levels = _CODINGS[factor]
-    except KeyError:
-        raise InvalidLevelError(f"unknown factor {factor!r}") from None
-    for level, coded in levels.items():
-        if raw == level:
-            return coded
-    raise InvalidLevelError(f"{raw!r} is not a declared level of {factor!r}")
+    if factor not in _CODINGS:
+        raise ValueError(f"unknown factor {factor!r}")
+    if raw not in _CODINGS[factor]:
+        raise ValueError(f"{raw!r} is not a declared level of {factor!r}")
+    return _CODINGS[factor][raw]
 
 
 @dataclass(frozen=True)

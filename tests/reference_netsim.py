@@ -5,7 +5,8 @@ Every hop of every segment is a heap event ordered by (timestamp, insertion
 sequence).  ``tests/test_netsim_differential.py`` runs it side by side with
 ``rlcc.netsim.Simulator`` and requires equal throughput and counters after
 every call.  Kept as it was; only ``validate_config`` and the dataclasses come from
-the package.
+the package, and the RTT EWMA step is written out here, so a change to
+``rlcc.netsim.update_rtt_ewma`` fails the comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from collections import deque
 
 from rlcc.netsim import (CwndRangeError, FlowCounters, SimConfig,
-                         update_rtt_ewma, validate_config)
+                         validate_config)
 
 
 # Event kinds, dispatched in _dispatch.
@@ -276,8 +277,9 @@ class ReferenceSimulator:
         # Karn's rule: sample RTT only from never-retransmitted segments.
         if trigger_seg is not None and trigger_seg.retrans_count == 0:
             sample = self.now - trigger_seg.first_send_ms
-            self.rtt_ewma_ms = update_rtt_ewma(
-                self.rtt_ewma_ms, sample, self.cfg.rtt_ewma_alpha)
+            alpha = self.cfg.rtt_ewma_alpha
+            self.rtt_ewma_ms = sample if self.rtt_ewma_ms is None else (
+                (1.0 - alpha) * self.rtt_ewma_ms + alpha * sample)
         self._try_send()
 
     def _on_rto_fire(self, payload) -> None:

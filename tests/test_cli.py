@@ -194,6 +194,8 @@ class TestInvalidInput:
         ("baseline", "--seed", "-1"),
         ("grid", "--jobs", "0", "--reps", "1"),
         ("grid", "--jobs", "-3", "--reps", "1"),
+        ("grid", "--reps", "0"),
+        ("grid", "--reps", "-1"),
         ("simulate", "--duration-ms", "1e12"),
         ("simulate", "--duration-ms", "10000100"),
         ("simulate", "--duration-ms", "200000",
@@ -766,6 +768,17 @@ class TestAnalyze:
                        "--out-dir", str(tmp_path)) == 2
         assert "expects 2 to 3 comma-separated names" in capsys.readouterr().err
         assert not (tmp_path / "regression.csv").exists()
+
+    @pytest.mark.parametrize("factors", ["layers,layers",
+                                         "error_rate,error_rate,layers"])
+    def test_repeated_factor_exit_2(self, tmp_path, capsys, factors):
+        # rejected before the runs file is read: this one does not exist
+        assert run_cli("analyze", "--runs", str(tmp_path / "missing.csv"),
+                       "--factors", factors, "--out-dir", str(tmp_path)) == 2
+        name = factors.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: --factors names {name!r} more than once\n")
+        assert os.listdir(tmp_path) == []
 
     def test_three_factors_need_two_levels_each(self, tmp_path, capsys):
         # write_runs_csv holds one learning rate

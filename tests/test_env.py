@@ -84,6 +84,27 @@ class TestEpisode:
         assert env.step(Action.HOLD).observation.cwnd_segments == 3
         assert env.step(Action.DECREASE).observation.cwnd_segments == 2
 
+    def test_plain_and_numpy_integer_actions(self):
+        env = Env(EnvConfig())
+        env.reset(seed=2)
+        assert env.step(2).observation.cwnd_segments == 2
+        assert env.step(np.int64(2)).observation.cwnd_segments == 3
+
+    @pytest.mark.parametrize("action,message", [
+        (True, "must be an integer"), (False, "must be an integer"),
+        (2.0, "must be an integer"), (1.5, "must be an integer"),
+        ("1", "must be an integer"), (np.bool_(True), "must be an integer"),
+        (-1, "not a valid Action"), (3, "not a valid Action"),
+    ], ids=repr)
+    def test_rejects_non_action(self, action, message):
+        env = Env(EnvConfig())
+        env.reset(seed=2)
+        with pytest.raises(ValueError, match=message):
+            env.step(action)
+        # the rejected action took no step
+        result = env.step(Action.INCREASE)
+        assert (result.step_index, result.observation.cwnd_segments) == (1, 2)
+
     def test_cwnd_clamped_at_bounds(self):
         env = Env(EnvConfig())
         env.reset(seed=3)

@@ -5,9 +5,8 @@ import pytest
 
 from rlcc.dqn import ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig
 from rlcc.env import EnvConfig
-from rlcc.experiments import (FactorLevels, InvalidDesignError, RunSpec, Step,
-                              convergence_step, derive_seed, enumerate_runs,
-                              execute_run)
+from rlcc.experiments import (FactorLevels, RunSpec, Step, convergence_step,
+                              derive_seed, enumerate_runs, execute_run)
 
 FAST_ENV = EnvConfig(episode_length=40)
 FAST_DQN = DqnConfig(train_updates_per_step=1)
@@ -77,7 +76,7 @@ class TestEnumerateRuns:
         dict(reps=0),
     ])
     def test_rejects(self, kw):
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
             enumerate_runs(FactorLevels(), **kw)
 
     def test_levels_cannot_be_set(self):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from rlcc import stats
 from rlcc.experiments import FactorLevels
-from rlcc.stats import (InvalidLevelError, RegressionRow, SingularDesignError,
-                        code_level, make_interaction_design, ols_fit,
-                        render_table, student_t_two_sided_p)
+from rlcc.stats import (RegressionRow, SingularDesignError, code_level,
+                        make_interaction_design, ols_fit, render_table,
+                        student_t_two_sided_p)
 
 
 def ols_oracle(X, y):
@@ -68,11 +68,12 @@ class TestCoding:
             assert coded == list(np.linspace(-1.0, 1.0, len(levels)))
 
     def test_unknown_factor(self):
-        with pytest.raises(InvalidLevelError):
+        with pytest.raises(ValueError, match="unknown factor 'dropout'"):
             code_level("dropout", 0.5)
 
     def test_unknown_level(self):
-        with pytest.raises(InvalidLevelError):
+        with pytest.raises(ValueError,
+                           match="3 is not a declared level of 'layers'"):
             code_level("layers", 3)
 
 
