@@ -254,6 +254,8 @@ def cmd_simulate(args) -> int:
     # checked before rounding, which overflows on an infinite quotient
     check_budget(max(1.0, duration_ms / interval), interval)
     steps = max(1, int(round(duration_ms / interval)))
+    if args.cwnd > MAX_STEPS:   # the first advance makes a record per segment
+        raise CliError(f"--cwnd must be <= {MAX_STEPS}")
     try:
         sim = Simulator(sim_cfg)
         sim.set_cwnd(args.cwnd)

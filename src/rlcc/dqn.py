@@ -33,10 +33,6 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; the caller aborts and records the run."""
 
 
-class InsufficientDataError(RuntimeError):
-    """Replay buffer holds fewer transitions than the requested sample."""
-
-
 class Transition(NamedTuple):
     """One replay row in push's order; a caller's batch is a list of these."""
     state: np.ndarray       # six normalized reals
@@ -146,8 +142,11 @@ class QNetwork:
                  rng: np.random.Generator | None):
         self.sizes = (INPUT_DIM,) + (hidden_width,) * hidden_count \
             + (OUTPUT_DIM,)
-        self.theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out
-                                  in zip(self.sizes, self.sizes[1:])))
+        size = sum((fan_in + 1) * fan_out
+                   for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
+        if size * 8 > np.iinfo(np.intp).max:   # numpy raises ValueError
+            raise MemoryError(f"network of {size} float64 parameters")
+        self.theta = np.zeros(size)
         self.grad = np.empty_like(self.theta)
         self.layers = self._views(self.theta)
         self._forward_layers = [(w.T, b) for w, b in self.layers]
@@ -328,6 +327,8 @@ class ReplayBuffer:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if capacity * INPUT_DIM * 8 > np.iinfo(np.intp).max:   # as QNetwork
+            raise MemoryError(f"replay ring of {capacity} rows")
         self.capacity = capacity
         self._rows = Batch(np.empty((capacity, INPUT_DIM)),
                            np.empty(capacity, dtype=np.int64),
@@ -365,8 +366,7 @@ class ReplayBuffer:
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         if n > len(self):
-            raise InsufficientDataError(
-                f"buffer holds {len(self)} < {n} transitions")
+            raise RuntimeError(f"buffer holds {len(self)} < {n} transitions")
         idx = rng.choice(len(self), size=n, replace=False)
         rows = self._rows
         return Batch(rows.states.take(idx, 0), rows.actions.take(idx, 0),
@@ -429,10 +429,6 @@ class DqnAgent:
         self.env_steps += 1
         q = self.net.activations(state)[-1][0]
         return act_epsilon_greedy(q, self.last_epsilon, self.rng)
-
-    def observe(self, state: np.ndarray, action_index: int, reward: float,
-                next_state: np.ndarray, done: bool) -> None:
-        self.buffer.push(state, action_index, reward, next_state, done)
 
     def learn(self) -> float | None:
         """Train on one sampled batch if enough data; returns the loss."""

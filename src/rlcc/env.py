@@ -19,10 +19,6 @@ import numpy as np
 from .netsim import SimConfig, Simulator
 
 
-class EpisodeDoneError(RuntimeError):
-    """step() was called on a finished episode."""
-
-
 class Action(enum.IntEnum):
     DECREASE = 0
     HOLD = 1
@@ -99,7 +95,7 @@ class Env:
 
     def step(self, action: Action | int) -> StepResult:
         if self._step_count >= self.cfg.episode_length:
-            raise EpisodeDoneError("episode is finished; call reset()")
+            raise RuntimeError("episode is finished; call reset()")
         # Action() would take True as HOLD and 2.0 as INCREASE
         if type(action) is bool or not isinstance(action, (int, np.integer)):
             raise ValueError(f"action must be an integer, got {action!r}")

@@ -169,8 +169,8 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
         next_state = normalize(result.observation)
         loss = None
         if agent is not None:
-            agent.observe(state, action, result.reward, next_state,
-                          result.done)
+            agent.buffer.push(state, action, result.reward, next_state,
+                              result.done)
             try:
                 for _ in range(dqn_cfg.train_updates_per_step):
                     loss = agent.learn()

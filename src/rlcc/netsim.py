@@ -49,10 +49,6 @@ class InvalidConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
-class CwndRangeError(ValueError):
-    """set_cwnd called with a window outside [1, cwnd_max]."""
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     rate_bps: int
@@ -232,9 +228,9 @@ class Simulator:
         raised and lowered in between still sends the raised one's
         segments."""
         if not isinstance(segments, int) or isinstance(segments, bool):
-            raise CwndRangeError(f"cwnd must be an integer, got {segments!r}")
+            raise ValueError(f"cwnd must be an integer, got {segments!r}")
         if not 1 <= segments <= self.cfg.cwnd_max:
-            raise CwndRangeError(
+            raise ValueError(
                 f"cwnd {segments} outside [1, {self.cfg.cwnd_max}]")
         self.cwnd = segments
         self._fill_to = max(self._fill_to, segments)

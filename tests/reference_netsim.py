@@ -15,8 +15,7 @@ import heapq
 import random
 from collections import deque
 
-from rlcc.netsim import (CwndRangeError, FlowCounters, SimConfig,
-                         validate_config)
+from rlcc.netsim import FlowCounters, SimConfig, validate_config
 
 
 # Event kinds, dispatched in _dispatch.
@@ -109,9 +108,9 @@ class ReferenceSimulator:
         """Set the sender window.  Rejects out-of-range values; in-flight
         segments are never discarded by a shrink."""
         if not isinstance(segments, int) or isinstance(segments, bool):
-            raise CwndRangeError(f"cwnd must be an integer, got {segments!r}")
+            raise ValueError(f"cwnd must be an integer, got {segments!r}")
         if not 1 <= segments <= self.cfg.cwnd_max:
-            raise CwndRangeError(
+            raise ValueError(
                 f"cwnd {segments} outside [1, {self.cfg.cwnd_max}]")
         self.cwnd = segments
         self._try_send()

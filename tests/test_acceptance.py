@@ -170,7 +170,7 @@ def test_bandit_sanity():
             s[0] = rng.random()
             a = agent.select_action(s)
             optimal = 2 if s[0] > 0.5 else 0
-            agent.observe(s, a, float(a == optimal), s, True)
+            agent.buffer.push(s, a, float(a == optimal), s, True)
             agent.learn()
         correct = 0
         for _ in range(500):

@@ -235,6 +235,17 @@ class TestInvalidInput:
         ("train", "--override", "dqn.hidden_width=10000000"),
         ("grid", "--reps", "1", "--jobs", "2",
          "--override", "dqn.buffer_capacity=10000000000000"),
+        # past intp numpy raises ValueError, not MemoryError
+        ("train", "--override", f"dqn.hidden_width={2 ** 63 - 1}"),
+        ("train", "--override", "dqn.hidden_width=3037000500"),
+        ("train", "--override", f"dqn.buffer_capacity={2 ** 63 - 1}"),
+        ("grid", "--reps", "1", "--jobs", "2",
+         "--override", f"dqn.buffer_capacity={2 ** 63 - 1}"),
+        # simulate's first advance makes a record per window segment
+        ("simulate", "--cwnd", "100001",
+         "--override", "sim.cwnd_max=100001"),
+        ("simulate", "--cwnd", str(2 ** 63 - 1),
+         "--override", f"sim.cwnd_max={2 ** 63 - 1}"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert_exits_2(capsys, *argv, "--out-dir", str(tmp_path))

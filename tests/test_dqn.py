@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, Batch, DqnAgent, DqnConfig,
-                      InsufficientDataError, QNetwork, ReplayBuffer,
-                      Transition, TrainingDivergedError, act_epsilon_greedy,
-                      as_batch, epsilon_at, loss_and_grads, td_targets,
-                      train_step)
+                      QNetwork, ReplayBuffer, Transition,
+                      TrainingDivergedError, act_epsilon_greedy, as_batch,
+                      epsilon_at, loss_and_grads, td_targets, train_step)
 
 
 def small_net(hidden_count=2, width=8, seed=0):
@@ -287,7 +286,8 @@ class TestReplayBuffer:
     def test_insufficient_data(self):
         buf = ReplayBuffer(10)
         buf.push(np.zeros(6), 0, 0.0, np.zeros(6), False)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(RuntimeError,
+                           match="^buffer holds 1 < 2 transitions$"):
             buf.sample(2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("state, next_state", [
@@ -444,16 +444,16 @@ class TestAgent:
     def test_learn_waits_for_full_batch(self):
         agent = DqnAgent(DqnConfig(seed=0, batch_size=8))
         for i in range(7):
-            agent.observe(np.zeros(6), 0, 0.0, np.zeros(6), False)
+            agent.buffer.push(np.zeros(6), 0, 0.0, np.zeros(6), False)
             assert agent.learn() is None
-        agent.observe(np.zeros(6), 0, 0.0, np.zeros(6), False)
+        agent.buffer.push(np.zeros(6), 0, 0.0, np.zeros(6), False)
         assert agent.learn() is not None
 
     def test_target_sync_cadence(self):
         agent = DqnAgent(DqnConfig(seed=0, batch_size=4, target_sync_every=5))
         rng = np.random.default_rng(2)
         for tr in random_batch(rng, 4):
-            agent.observe(*tr)
+            agent.buffer.push(*tr)
         for step in range(1, 11):
             agent.learn()
             synced = all(
@@ -472,7 +472,7 @@ class TestAgent:
             s[0] = rng.random()
             a = agent.select_action(s)
             optimal = 2 if s[0] > 0.5 else 0
-            agent.observe(s, a, float(a == optimal), s, True)
+            agent.buffer.push(s, a, float(a == optimal), s, True)
             agent.learn()
         correct = 0
         for _ in range(300):

@@ -7,7 +7,7 @@ in ``tests/reference_dqn.py``.
 
 `ReferenceAgent` is DqnAgent with the old learn step: each update runs the
 frozen target network on the batch's own next states.  Both agents are
-driven through observe/learn on the same transitions and seeds, so they
+driven through buffer.push/learn on the same transitions and seeds, so they
 draw the same samples.  The draws cover ring wrap (capacity below the
 number of pushes), syncs from every update to rarely, and batch sizes 1-32.
 
@@ -111,8 +111,8 @@ def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
         tr = Transition(source.normal(size=6), int(source.integers(3)),
                         float(source.normal()), source.normal(size=6),
                         bool(source.random() < 0.2))
-        agent.observe(*tr)
-        reference.observe(*tr)
+        agent.buffer.push(*tr)
+        reference.buffer.push(*tr)
         for _ in range(updates):
             try:
                 loss = agent.learn()

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, EpisodeDoneError,
-                      Observation, compute_reward, normalize)
+from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, Observation,
+                      compute_reward, normalize)
 from rlcc.netsim import BottleneckSpec, SimConfig
 
 
@@ -64,7 +64,7 @@ class TestEpisode:
 
     def test_step_before_reset_raises(self):
         env = Env(EnvConfig())
-        with pytest.raises(EpisodeDoneError):
+        with pytest.raises(RuntimeError, match="episode is finished"):
             env.step(Action.HOLD)
 
     def test_episode_runs_exactly_200_steps(self):
@@ -73,7 +73,7 @@ class TestEpisode:
         results = [env.step(Action.INCREASE) for _ in range(200)]
         assert [r.step_index for r in results] == list(range(1, 201))
         assert [r.done for r in results] == [False] * 199 + [True]
-        with pytest.raises(EpisodeDoneError):
+        with pytest.raises(RuntimeError, match="episode is finished"):
             env.step(Action.HOLD)
 
     def test_actions_move_cwnd(self):

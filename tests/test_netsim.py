@@ -10,8 +10,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from rlcc import netsim
 from rlcc.env import EnvConfig
-from rlcc.netsim import (BottleneckSpec, CwndRangeError, InvalidConfigError,
-                         LinkSpec, SimConfig, Simulator, update_rtt_ewma)
+from rlcc.netsim import (BottleneckSpec, InvalidConfigError, LinkSpec,
+                         SimConfig, Simulator, update_rtt_ewma)
 
 CAPACITY_BPS = 250_000  # 2 Mbps bottleneck in bytes/second
 
@@ -97,7 +97,8 @@ class TestSetCwnd:
     @pytest.mark.parametrize("bad", [0, -1, 201])
     def test_out_of_range_rejected(self, bad):
         sim = Simulator(SimConfig())
-        with pytest.raises(CwndRangeError):
+        with pytest.raises(ValueError,
+                           match=rf"^cwnd {bad} outside \[1, 200\]$"):
             sim.set_cwnd(bad)
 
     def test_shrink_gates_sends_until_inflight_below_window(self):
