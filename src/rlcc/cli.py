@@ -12,7 +12,8 @@ Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers, integers
-outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget are rejected.
+outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget (or, for train
+and grid, past 4 * MAX_STEPS learner updates) are rejected.
 Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
@@ -47,7 +48,7 @@ from . import experiments, stats
 from .dqn import DqnConfig
 from .env import EnvConfig
 from .experiments import STEPS_HEADER, Step
-from .netsim import SimConfig, Simulator, validate_config
+from .netsim import SimConfig, Simulator
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -175,7 +176,7 @@ def build_configs(settings: dict[str, str]):
     sim_cfg, dqn_cfg = cfgs["sim"], cfgs["dqn"]
     env_cfg = replace(cfgs["env"], sim=sim_cfg)
     try:
-        validate_config(sim_cfg)
+        sim_cfg.validate()
         env_cfg.validate()
         dqn_cfg.validate()
     except ValueError as exc:
@@ -191,10 +192,17 @@ def report_unread(command: str, settings: dict[str, str]) -> None:
               file=sys.stderr)
 
 
-def check_budget(steps: float, interval_ms: float) -> None:
+def check_budget(steps: float, interval_ms: float,
+                 updates_per_step: int = 0) -> None:
+    """Reject a run past MAX_STEPS, MAX_SIM_MS or, when it learns, four
+    updates a step at MAX_STEPS (the default rate at the step budget)."""
     if not (steps <= MAX_STEPS and steps * interval_ms <= MAX_SIM_MS):
         raise CliError(f"{steps:g} steps of {interval_ms:g} ms exceed the "
                        f"budget of {MAX_STEPS} steps and {MAX_SIM_MS:g} ms")
+    if steps * updates_per_step > 4 * MAX_STEPS:
+        raise CliError("env.episode_length * dqn.train_updates_per_step = "
+                       f"{steps} * {updates_per_step} exceeds the budget of "
+                       f"{4 * MAX_STEPS} updates")
 
 
 def gather_settings(args) -> dict[str, str]:
@@ -323,7 +331,8 @@ def cmd_single_run(args) -> int:
     settings = gather_settings(args)
     _, env_cfg, dqn_cfg = build_configs(settings)
     report_unread(policy, settings)
-    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
+    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms,
+                 dqn_cfg.train_updates_per_step if policy == "train" else 0)
     if args.seed is not None and args.seed < 0:
         raise CliError("--seed must be >= 0")
     spec = experiments.make_spec(
@@ -351,7 +360,8 @@ def cmd_grid(args) -> int:
             raise CliError(f"{key} is set by the grid design and cannot "
                            "be configured")
     _, env_cfg, dqn_cfg = build_configs(settings)
-    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms)
+    check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms,
+                 dqn_cfg.train_updates_per_step)
     specs = experiments.enumerate_runs(
         experiments.FactorLevels(), reps=args.reps, base_seed=args.base_seed)
     records = run_specs(specs, env_cfg, dqn_cfg, args.out_dir,

@@ -4,7 +4,8 @@ Topology: sender host -- access link -- router1 == bottleneck == router2 --
 access link -- receiver host.  The sender has an infinite backlog (FTP bulk
 model) and is gated only by an externally controlled congestion window: there
 is no slow start, no AIMD and no fast retransmit, so whoever calls
-``set_cwnd`` is the sole congestion controller.
+``set_cwnd`` is the sole congestion controller.  ``Simulator`` first runs
+``SimConfig.validate``, which raises ``ValueError`` naming the field.
 
 Data segments are store-and-forward serialized on every hop.  The bottleneck
 ingress queue is drop-tail; forward segments surviving the queue can still be
@@ -41,14 +42,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 
-class InvalidConfigError(ValueError):
-    """A configuration field violates its invariant; names the field."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field_name = field_name
-        super().__init__(f"{field_name}: {message}")
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     rate_bps: int
@@ -82,6 +75,37 @@ class SimConfig:
     cwnd_max: int = 200
     seed: int = 0
 
+    def validate(self) -> None:
+        """Raise ValueError("<field>: <rule>"), a link field dotted
+        ("bottleneck_link.loss_prob"), for the first field that breaks
+        its rule."""
+        for name, link in (("access_link", self.access_link),
+                           ("bottleneck_link", self.bottleneck_link)):
+            if not 0 < link.rate_bps < math.inf:
+                raise ValueError(f"{name}.rate_bps: must be in (0, inf)")
+            if not 0 <= link.prop_delay_ms < math.inf:
+                raise ValueError(f"{name}.prop_delay_ms: "
+                                 "must be finite and non-negative")
+        if not 0.0 <= self.bottleneck_link.loss_prob <= 1.0:
+            raise ValueError("bottleneck_link.loss_prob: must be in [0, 1]")
+        if self.ack_bytes < 1:
+            raise ValueError("ack_bytes: must be >= 1")
+        if self.segment_bytes < self.ack_bytes:
+            raise ValueError("segment_bytes: must be >= ack_bytes")
+        if self.queue_capacity_segments < 1:
+            raise ValueError("queue_capacity_segments: must be >= 1")
+        one_way_ms = 2 * self.access_link.prop_delay_ms \
+            + self.bottleneck_link.prop_delay_ms
+        if not 4 * one_way_ms < self.rto_ms < math.inf:
+            raise ValueError("rto_ms: must be finite and exceed 4x one-way "
+                             f"propagation ({4 * one_way_ms} ms)")
+        if not 0.0 < self.rtt_ewma_alpha <= 1.0:
+            raise ValueError("rtt_ewma_alpha: must be in (0, 1]")
+        if self.cwnd_max < 1:
+            raise ValueError("cwnd_max: must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed: must be a non-negative integer")
+
 
 class FlowCounters(NamedTuple):
     bytes_sent_total: int
@@ -91,37 +115,6 @@ class FlowCounters(NamedTuple):
     drops_error: int
     drops_queue: int
     cwnd_segments: int
-
-
-def validate_config(cfg: SimConfig) -> None:
-    """Raise InvalidConfigError naming the first violated field."""
-    for name, link in (("access_link", cfg.access_link),
-                       ("bottleneck_link", cfg.bottleneck_link)):
-        if not 0 < link.rate_bps < math.inf:
-            raise InvalidConfigError(f"{name}.rate_bps", "must be in (0, inf)")
-        if not 0 <= link.prop_delay_ms < math.inf:
-            raise InvalidConfigError(f"{name}.prop_delay_ms",
-                                     "must be finite and non-negative")
-    if not 0.0 <= cfg.bottleneck_link.loss_prob <= 1.0:
-        raise InvalidConfigError("bottleneck_link.loss_prob",
-                                 "must be in [0, 1]")
-    if cfg.ack_bytes < 1:
-        raise InvalidConfigError("ack_bytes", "must be >= 1")
-    if cfg.segment_bytes < cfg.ack_bytes:
-        raise InvalidConfigError("segment_bytes", "must be >= ack_bytes")
-    if cfg.queue_capacity_segments < 1:
-        raise InvalidConfigError("queue_capacity_segments", "must be >= 1")
-    one_way_ms = 2 * cfg.access_link.prop_delay_ms \
-        + cfg.bottleneck_link.prop_delay_ms
-    if not 4 * one_way_ms < cfg.rto_ms < math.inf:
-        raise InvalidConfigError("rto_ms", "must be finite and exceed 4x "
-                                 f"one-way propagation ({4 * one_way_ms} ms)")
-    if not 0.0 < cfg.rtt_ewma_alpha <= 1.0:
-        raise InvalidConfigError("rtt_ewma_alpha", "must be in (0, 1]")
-    if cfg.cwnd_max < 1:
-        raise InvalidConfigError("cwnd_max", "must be >= 1")
-    if cfg.seed < 0:
-        raise InvalidConfigError("seed", "must be a non-negative integer")
 
 
 def update_rtt_ewma(ewma_ms: float | None, sample_ms: float,
@@ -152,7 +145,7 @@ class Simulator:
     """Single-flow dumbbell simulator; see module docstring for the model."""
 
     def __init__(self, cfg: SimConfig):
-        validate_config(cfg)
+        cfg.validate()
         self.cfg = cfg
         self.now = 0.0
         self._heap: list = []

@@ -28,14 +28,6 @@ PERFECT_FIT_RTOL = 1e-12
 _CF_EPS, _CF_MAX_STEPS, _CF_TINY = 1e-15, 200, 1e-300
 
 
-class SingularDesignError(ValueError):
-    """Design matrix is rank deficient; names the dependent column."""
-
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"design matrix is rank deficient at column {column!r}")
-
-
 #: factor -> {level: coded}: the experiment's declared levels, sorted, by
 #: index onto evenly spaced points of [-1, +1].
 _CODINGS = {name: {level: 2.0 * i / (len(levels) - 1) - 1.0
@@ -118,7 +110,8 @@ def ols_fit(X: np.ndarray, names: list[str],
 
     Terms other than the first (intercept) also report influence = 2 * beta.
     A residual sum of squares within PERFECT_FIT_RTOL of ||y||^2 is flagged
-    as a perfect fit: SE 0, t and p undefined.
+    as a perfect fit: SE 0, t and p undefined.  A rank-deficient design
+    raises ValueError naming its first dependent column.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -134,7 +127,8 @@ def ols_fit(X: np.ndarray, names: list[str],
     diag = np.abs(np.diag(r))
     tiny = diag < np.finfo(float).eps * max(n, p) * (diag.max() or 1.0)
     if tiny.any():
-        raise SingularDesignError(names[int(np.flatnonzero(tiny)[0])])
+        raise ValueError("design matrix is rank deficient at column "
+                         f"{names[int(np.flatnonzero(tiny)[0])]!r}")
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
     rss = float(resid @ resid)

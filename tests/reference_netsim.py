@@ -4,8 +4,9 @@ computed before its forward path became arithmetic.
 Every hop of every segment is a heap event ordered by (timestamp, insertion
 sequence).  ``tests/test_netsim_differential.py`` runs it side by side with
 ``rlcc.netsim.Simulator`` and requires equal throughput and counters after
-every call.  Kept as it was; only ``validate_config`` and the dataclasses come from
-the package, and the RTT EWMA step is written out here, so a change to
+every call.  Kept as it was; only the dataclasses come from the package, and
+it checks its config with ``cfg.validate()`` (``SimConfig.validate``).  The
+RTT EWMA step is written out here, so a change to
 ``rlcc.netsim.update_rtt_ewma`` fails the comparison.
 """
 
@@ -15,7 +16,7 @@ import heapq
 import random
 from collections import deque
 
-from rlcc.netsim import FlowCounters, SimConfig, validate_config
+from rlcc.netsim import FlowCounters, SimConfig
 
 
 # Event kinds, dispatched in _dispatch.
@@ -44,7 +45,7 @@ class ReferenceSimulator:
     """Single-flow dumbbell simulator with one heap event per hop."""
 
     def __init__(self, cfg: SimConfig):
-        validate_config(cfg)
+        cfg.validate()
         self.cfg = cfg
         self.now = 0.0
         self._heap: list = []

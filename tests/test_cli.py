@@ -1,3 +1,5 @@
+import ast
+import builtins
 import csv
 import gc
 import itertools
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,10 +249,30 @@ class TestInvalidInput:
          "--override", "sim.cwnd_max=100001"),
         ("simulate", "--cwnd", str(2 ** 63 - 1),
          "--override", f"sim.cwnd_max={2 ** 63 - 1}"),
+        # past 4 * MAX_STEPS learner updates a run; under 32 steps fill no
+        # batch, so a run that slipped past the check would still be quick
+        ("train", "--override", "env.episode_length=31",
+         "--override", "dqn.train_updates_per_step=12904"),
+        ("grid", "--reps", "1", "--jobs", "1",
+         "--override", "env.episode_length=1",
+         "--override", "dqn.train_updates_per_step=400001"),
     ], ids=" ".join)
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert_exits_2(capsys, *argv, "--out-dir", str(tmp_path))
         assert os.listdir(tmp_path) == []
+
+    def test_learner_update_budget(self, tmp_path, capsys):
+        # one step fills no batch, so the run at the budget learns nothing
+        argv = ("train", "--override", "env.episode_length=1")
+        assert run_cli(*argv, "--override", "dqn.train_updates_per_step=400000",
+                       "--out-dir", str(tmp_path / "at")) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--override", "dqn.train_updates_per_step=400001",
+                       "--out-dir", str(tmp_path / "past")) == 2
+        assert capsys.readouterr().err == (
+            "error: env.episode_length * dqn.train_updates_per_step = "
+            "1 * 400001 exceeds the budget of 400000 updates\n")
+        assert os.listdir(tmp_path / "past") == []
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -416,6 +439,33 @@ def test_every_csv_goes_through_write_csv_atomic(tmp_path, capsys,
     assert sorted(written) == on_disk
 
 
+def test_every_exception_class_is_caught_in_src():
+    # a package exception class earns its name only where the package
+    # itself catches it by type; every other raise is a builtin exception
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(
+            node, "attr", None)
+
+    nodes = [node for path in Path(rlcc.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))]
+    caught = {name(n) for handler in nodes
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for n in ast.walk(handler.type)}
+    exceptions = {key for key, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
+    defined = []
+    while True:   # until subclasses of package exception classes are in
+        found = [cls.name for cls in classes if cls.name not in exceptions
+                 and any(name(base) in exceptions for base in cls.bases)]
+        if not found:
+            break
+        defined += found
+        exceptions.update(found)
+    assert defined
+    assert [cls for cls in defined if cls not in caught] == []
+
+
 def assert_unread_keys_named(tmp_path, capsys, argv, read, unread):
     """With `unread` added to a config file of `read` keys, the command
     writes the same exit code, stdout and CSVs, and names exactly the
@@ -573,7 +623,9 @@ class TestTrainAndBaseline:
             read={"env.episode_length": "40", "dqn.hidden_count": "4",
                   "dqn.learning_rate": "0.001"},
             unread={"dqn.gamma": "0.5", "dqn.batch_size": "16",
-                    "dqn.epsilon_decay": "0.9"})
+                    "dqn.epsilon_decay": "0.9",
+                    # past the learner-update budget, which baseline skips
+                    "dqn.train_updates_per_step": "1000000"})
 
 
 class TestGrid:

@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from rlcc import netsim
 from rlcc.env import EnvConfig
-from rlcc.netsim import (BottleneckSpec, InvalidConfigError, LinkSpec,
-                         SimConfig, Simulator, update_rtt_ewma)
+from rlcc.netsim import (BottleneckSpec, LinkSpec, SimConfig, Simulator,
+                         update_rtt_ewma)
 
 CAPACITY_BPS = 250_000  # 2 Mbps bottleneck in bytes/second
 
@@ -44,9 +45,8 @@ class TestConfigValidation:
         (SimConfig(cwnd_max=0), "cwnd_max"),
     ])
     def test_invalid_config_names_field(self, cfg, field):
-        with pytest.raises(InvalidConfigError) as exc:
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
             Simulator(cfg)
-        assert exc.value.field_name == field
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call,field", [

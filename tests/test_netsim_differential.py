@@ -54,7 +54,7 @@ def sim_configs(draw):
                              | st.integers(40, 1500))
         ack_bytes = draw(st.sampled_from([1, 40, segment_bytes])
                          | st.integers(1, segment_bytes))
-        # validate_config requires rto_ms > 4x the one-way propagation delay
+        # SimConfig.validate requires rto_ms > 4x the one-way propagation delay
         floor_ms = 4 * (2 * access.prop_delay_ms + bottleneck.prop_delay_ms)
         rto_ms = floor_ms + draw(st.sampled_from([1e-3, 0.5, 4.0, 20.0, 1000.0])
                                  | st.floats(1e-3, 1000.0))

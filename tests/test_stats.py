@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rlcc import stats
 from rlcc.experiments import FactorLevels
-from rlcc.stats import (RegressionRow, SingularDesignError, code_level,
-                        make_interaction_design, ols_fit, render_table,
-                        student_t_two_sided_p)
+from rlcc.stats import (RegressionRow, code_level, make_interaction_design,
+                        ols_fit, render_table, student_t_two_sided_p)
 
 
 def ols_oracle(X, y):
@@ -254,9 +253,10 @@ class TestOlsFit:
     def test_singular_design_names_column(self):
         a = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
         X, names = make_interaction_design([a, a], ["A", "A2"])
-        with pytest.raises(SingularDesignError) as exc:
+        # A2 repeats A, so the first dependent column is A2
+        with pytest.raises(ValueError, match="^design matrix is rank "
+                           "deficient at column 'A2'$"):
             ols_fit(X, names, np.arange(6.0))
-        assert exc.value.column in names
 
     def test_shape_validation(self):
         X, names = self.full_factorial(reps=1)
