@@ -7,9 +7,8 @@ throughput as a fraction of bottleneck capacity.
 
 import statistics
 
-from rlcc.dqn import DqnConfig
-from rlcc.env import EnvConfig
 from rlcc.experiments import execute_run, make_spec
+from rlcc.schema import DqnConfig, EnvConfig
 
 
 def main():

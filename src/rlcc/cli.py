@@ -12,8 +12,9 @@ Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers, integers
-outside int64 and runs past the MAX_STEPS / MAX_SIM_MS budget (or, for train
-and grid, past 4 * MAX_STEPS learner updates) are rejected.
+outside int64, a negative --base-seed or --seed and runs past the MAX_STEPS /
+MAX_SIM_MS budget (or, for train and grid, past 4 * MAX_STEPS learner
+updates) are rejected.
 Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
@@ -24,7 +25,7 @@ refuses a cell that keeps unequal run counts at that factor's levels.  grid
 starts at most one worker per usable CPU.
 --out-dir is created before a command starts; CSVs are written atomically,
 and every output is fully determined by --base-seed.  steps.csv rows are
-experiments.Step tuples, whose fields are its columns.
+schema.Step tuples, whose fields are its columns.
 
 Exit codes: 0 success, 2 invalid input (including a configuration too large
 to allocate or an unbalanced fit), 3 training divergence (train), 4 partial
@@ -39,16 +40,12 @@ import gc
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, fields, is_dataclass, replace
 
-from . import experiments, stats
-from .dqn import DqnConfig
-from .env import EnvConfig
-from .experiments import STEPS_HEADER, Step
 from .netsim import SimConfig, Simulator
+from .schema import (REGRESSION_HEADER, RUNS_HEADER, STEPS_HEADER, DqnConfig,
+                     EnvConfig, RunRecord, Step)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -58,13 +55,6 @@ EXIT_PARTIAL = 4
 #: Simulated-work budget of a simulate command or a train/baseline/grid run.
 MAX_SIM_MS = 1e7
 MAX_STEPS = 100_000
-
-#: runs.csv: the RunSpec fields, then the record's metrics without the
-#: wall time, which varies from run to run.
-RUNS_HEADER = [f.name for f in fields(experiments.RunSpec)] + [
-    f.name for f in fields(experiments.RunRecord)
-    if f.name not in ("spec", "wall_time_ms")]
-REGRESSION_HEADER = [f.name for f in fields(stats.RegressionRow)]
 
 
 class CliError(Exception):
@@ -224,12 +214,14 @@ def gather_settings(args) -> dict[str, str]:
 # -- output helpers ----------------------------------------------------------
 
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    """Write rows of cells in header order via a temp file in the target
-    directory, then rename; csv writes a float by repr and None as ""."""
+    """Write rows of cells in header order via a new temp file in the target
+    directory, then rename; csv writes a float by repr and None as "".  The
+    file gets the mode open(path, "w") would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp_path, "x", newline="")   # exclusive: never another's file
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -240,7 +232,7 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
         raise
 
 
-def record_to_row(rec: experiments.RunRecord) -> list:
+def record_to_row(rec: RunRecord) -> list:
     """The RUNS_HEADER cells in order: the RunSpec fields, then the record's
     metrics, with diverged written as true or false."""
     cells = {**vars(rec), **vars(rec.spec),
@@ -293,6 +285,7 @@ def cmd_simulate(args) -> int:
 def _execute(job):
     # module-level, so a pool can pickle it; execute_run is looked up per
     # call, so forked workers run a wrapped or patched one too
+    from . import experiments
     return experiments.execute_run(*job)
 
 
@@ -305,6 +298,8 @@ def run_specs(specs, env_cfg, dqn_cfg, out_dir, policy="dqn", jobs=None):
             else os.cpu_count() or 1)
     workers = min(jobs or cpus, cpus, len(work))
     if workers > 1:
+        # imported here, before the freeze, so its modules are frozen too
+        from concurrent.futures import ProcessPoolExecutor
         # The workers fork at the first submit.  A frozen heap keeps a full
         # collection here from writing the headers of objects they share;
         # collecting first keeps the garbage out of what is frozen.
@@ -335,6 +330,7 @@ def cmd_single_run(args) -> int:
                  dqn_cfg.train_updates_per_step if policy == "train" else 0)
     if args.seed is not None and args.seed < 0:
         raise CliError("--seed must be >= 0")
+    from . import experiments
     spec = experiments.make_spec(
         dqn_cfg.hidden_count, dqn_cfg.learning_rate,
         env_cfg.sim.bottleneck_link.loss_prob, 0, args.base_seed,
@@ -362,6 +358,7 @@ def cmd_grid(args) -> int:
     _, env_cfg, dqn_cfg = build_configs(settings)
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms,
                  dqn_cfg.train_updates_per_step)
+    from . import experiments
     specs = experiments.enumerate_runs(
         experiments.FactorLevels(), reps=args.reps, base_seed=args.base_seed)
     records = run_specs(specs, env_cfg, dqn_cfg, args.out_dir,
@@ -385,6 +382,7 @@ def _labels(names, values) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import experiments, stats
     factor_names = [f.strip() for f in args.factors.split(",")]
     most = len(fields(experiments.FactorLevels))
     if not 2 <= len(factor_names) <= most:
@@ -513,8 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has written usage and error
+        return exc.code
+    try:
+        if getattr(args, "base_seed", 0) < 0:
+            raise CliError("--base-seed must be >= 0")
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:

@@ -19,14 +19,14 @@ evaluates a row again only after a push over it or a sync.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .schema import DqnConfig
+
 INPUT_DIM = 6
 OUTPUT_DIM = 3
-ALLOWED_HIDDEN_COUNTS = (2, 4, 8)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -79,48 +79,6 @@ def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
     if batch.ring is None:
         check_actions(batch.actions)
     return batch
-
-
-@dataclass(frozen=True)
-class DqnConfig:
-    hidden_count: int = 2
-    hidden_width: int = 64
-    learning_rate: float = 0.01
-    gamma: float = 0.95
-    epsilon_start: float = 1.0
-    epsilon_min: float = 0.05
-    epsilon_decay: float = 0.99
-    batch_size: int = 32
-    buffer_capacity: int = 5000
-    target_sync_every: int = 50
-    # Replay updates per environment step; >1 compensates for the short
-    # 200-step online episode.
-    train_updates_per_step: int = 4
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.hidden_count not in ALLOWED_HIDDEN_COUNTS:
-            raise ValueError(f"hidden_count must be one of {ALLOWED_HIDDEN_COUNTS}")
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
-        if not 0 < self.learning_rate < float("inf"):
-            raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        for name in ("epsilon_start", "epsilon_min"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.epsilon_min > self.epsilon_start:
-            raise ValueError("epsilon_min must be <= epsilon_start")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError("epsilon_decay must be in (0, 1]")
-        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
-            raise ValueError("need 1 <= batch_size <= buffer_capacity")
-        if self.target_sync_every < 1:
-            raise ValueError("target_sync_every must be >= 1")
-        if self.train_updates_per_step < 1:
-            raise ValueError("train_updates_per_step must be >= 1")
 
 
 class QNetwork:

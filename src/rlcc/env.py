@@ -11,12 +11,13 @@ to the interval throughput normalized by bottleneck capacity, clamped to
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .netsim import SimConfig, Simulator
+from .netsim import Simulator
+from .schema import EnvConfig
 
 
 class Action(enum.IntEnum):
@@ -51,21 +52,6 @@ class StepResult(NamedTuple):
     reward: float
     done: bool
     step_index: int
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    sim: SimConfig = SimConfig()
-    decision_interval_ms: float = 100.0
-    episode_length: int = 200
-
-    def validate(self) -> None:
-        # in seconds too: advance() divides by the interval in seconds
-        if not 0 < self.decision_interval_ms / 1000.0 < float("inf"):
-            raise ValueError("decision_interval_ms must be finite and "
-                             "positive in seconds")
-        if self.episode_length < 1:
-            raise ValueError("episode_length must be >= 1")
 
 
 def compute_reward(throughput_Bps: float, bottleneck_rate_bps: int) -> float:

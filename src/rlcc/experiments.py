@@ -17,13 +17,13 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from statistics import mean
-from typing import NamedTuple
 
 import numpy as np
 
-from .dqn import (ALLOWED_HIDDEN_COUNTS, OUTPUT_DIM, DqnAgent, DqnConfig,
-                  TrainingDivergedError)
-from .env import Env, EnvConfig, normalize
+from .dqn import OUTPUT_DIM, DqnAgent, TrainingDivergedError
+from .env import Env, normalize
+from .schema import (ALLOWED_HIDDEN_COUNTS, DqnConfig, EnvConfig, RunRecord,
+                     RunSpec, Step)
 
 
 @dataclass(frozen=True)
@@ -33,42 +33,6 @@ class FactorLevels:
     learning_rate: tuple = field(default=(0.01, 0.001), init=False)
     error_rate: tuple = field(default=(0.0, 0.2), init=False)
 
-
-@dataclass(frozen=True)
-class RunSpec:
-    run_id: str
-    layers: int
-    learning_rate: float
-    error_rate: float
-    rep: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    spec: RunSpec
-    avg_throughput_Bps: float
-    max_throughput_Bps: float
-    convergence_step: int | None
-    cumulative_reward: float
-    final_cwnd: int
-    diverged: bool
-    wall_time_ms: int
-
-
-class Step(NamedTuple):
-    """One steps.csv row, a decision step; the fields are the columns."""
-    run_id: str
-    step: int
-    cwnd: int
-    throughput_Bps: float
-    avg_rtt_ms: float
-    reward: float
-    epsilon: float | None
-    loss: float | None
-
-
-STEPS_HEADER = list(Step._fields)
 
 #: Plateau detector: moving-average window (steps) and band half-width
 #: as a fraction of the plateau.

@@ -12,12 +12,13 @@ from the standard library's math functions alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
 
 from .experiments import FactorLevels
+from .schema import RegressionRow
 
 #: A residual sum of squares at most this fraction of ||y||^2 (or of 1) is
 #: a perfect fit.
@@ -41,16 +42,6 @@ def code_level(factor: str, raw) -> float:
     if raw not in _CODINGS[factor]:
         raise ValueError(f"{raw!r} is not a declared level of {factor!r}")
     return _CODINGS[factor][raw]
-
-
-@dataclass(frozen=True)
-class RegressionRow:
-    term: str
-    influence: float | None   # 2 * coefficient; None for the intercept
-    coefficient: float
-    std_error: float
-    t_value: float | None     # None flags a perfect fit (SE = 0)
-    p_value: float | None
 
 
 def _betainc(a: float, b: float, x: float) -> float:

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from rlcc.cli import run as cli_run
-from rlcc.dqn import DqnAgent, DqnConfig, QNetwork, loss_and_grads
-from rlcc.env import EnvConfig
-from rlcc.experiments import (RunSpec, convergence_step, derive_seed,
-                              execute_run)
+from rlcc.dqn import DqnAgent, QNetwork, loss_and_grads
+from rlcc.experiments import convergence_step, derive_seed, execute_run
 from rlcc.netsim import SimConfig, Simulator
+from rlcc.schema import DqnConfig, EnvConfig, RunSpec
 from rlcc.stats import (make_interaction_design, ols_fit,
                         student_t_two_sided_p)
 

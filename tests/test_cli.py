@@ -1,5 +1,6 @@
 import ast
 import builtins
+import concurrent.futures
 import csv
 import gc
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rlcc
-from rlcc import cli, experiments
+from rlcc import cli, experiments, schema
 from rlcc.cli import (CONFIG_KEYS, FACTOR_KEYS, REGRESSION_HEADER, RUNS_HEADER,
                       STEPS_HEADER, CliError, build_configs, int64,
                       parse_config_file, run, write_csv_atomic)
@@ -199,6 +200,10 @@ class TestInvalidInput:
         ("grid", "--jobs", "-3", "--reps", "1"),
         ("grid", "--reps", "0"),
         ("grid", "--reps", "-1"),
+        ("simulate", "--base-seed", "-1"),
+        ("train", "--base-seed", "-1"),
+        ("baseline", "--base-seed", "-1"),
+        ("grid", "--reps", "1", "--base-seed", "-1"),
         ("simulate", "--duration-ms", "1e12"),
         ("simulate", "--duration-ms", "10000100"),
         ("simulate", "--duration-ms", "200000",
@@ -260,6 +265,14 @@ class TestInvalidInput:
     def test_exits_2_with_error_line(self, tmp_path, capsys, argv):
         assert_exits_2(capsys, *argv, "--out-dir", str(tmp_path))
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "baseline",
+                                         "grid"])
+    def test_negative_base_seed_names_the_flag(self, tmp_path, capsys,
+                                               command):
+        assert run_cli(command, "--base-seed", "-1",
+                       "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: --base-seed must be >= 0\n"
 
     def test_learner_update_budget(self, tmp_path, capsys):
         # one step fills no batch, so the run at the budget learns nothing
@@ -378,9 +391,9 @@ class TestAtomicCsv:
         assert (tmp_path / "new.csv").read_bytes() == b'a\r\n""\r\n""\r\n'
 
     def test_runs_csv_diverged_reads_true_or_false(self, tmp_path):
-        spec = experiments.RunSpec(run_id="r", layers=2, learning_rate=0.01,
-                                   error_rate=0.2, rep=0, seed=7)
-        records = [experiments.RunRecord(
+        spec = schema.RunSpec(run_id="r", layers=2, learning_rate=0.01,
+                              error_rate=0.2, rep=0, seed=7)
+        records = [schema.RunRecord(
             spec=spec, avg_throughput_Bps=1.5, max_throughput_Bps=2.0,
             convergence_step=conv, cumulative_reward=0.1, final_cwnd=4,
             diverged=diverged, wall_time_ms=3)
@@ -399,6 +412,19 @@ class TestAtomicCsv:
         path = tmp_path / "out.csv"
         write_csv_atomic(str(path), ["a"], [[1]])
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_mode_is_what_open_gives(self, tmp_path, capsys, umask):
+        # 0o666 less the umask, as open(path, "w") creates a file
+        old = os.umask(umask)
+        try:
+            write_csv_atomic(str(tmp_path / "out.csv"), ["a"], [[1]])
+            assert run_cli("simulate", "--duration-ms", "500",
+                           "--out-dir", str(tmp_path / "sim")) == 0
+        finally:
+            os.umask(old)
+        for path in (tmp_path / "out.csv", tmp_path / "sim" / "steps.csv"):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_failure_leaves_previous_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -653,12 +679,15 @@ class TestGrid:
             == [r[1:] for r in steps[1:] if r[0] == run_id]
 
     def test_pairwise_design_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("grid", "--design", "pairwise", "--reps", "1",
-                    "--out-dir", str(tmp_path))
-        assert exc.value.code == 2
+        # argparse's usage error comes back as run()'s return value
+        assert run_cli("grid", "--design", "pairwise", "--reps", "1",
+                       "--out-dir", str(tmp_path)) == 2
         assert "invalid choice: 'pairwise'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_help_returns_0(self, capsys):
+        assert run_cli("grid", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: rlcc grid")
 
     def test_jobs_do_not_change_output(self, tmp_path, capsys):
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -696,7 +725,8 @@ class TestGrid:
                                 lambda pid: set(range(n)), raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: n)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         pooled, serial = tmp_path / "pooled", tmp_path / "serial"
         # runs < CPUs: one worker per run
         usable_cpus(16)
@@ -719,12 +749,13 @@ class TestGrid:
                                             monkeypatch):
         freeze_counts = []
 
-        class RecordingPool(cli.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 freeze_counts.append(gc.get_freeze_count())
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -858,10 +889,10 @@ class TestAnalyze:
     def test_configuration_flags_rejected(self, tmp_path, capsys, flag):
         # analyze reads no configuration, so argparse refuses these flags
         write_runs_csv(tmp_path / "runs.csv")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("analyze", "--runs", str(tmp_path / "runs.csv"), *flag,
-                    "--out-dir", str(tmp_path))
-        assert exc.value.code == 2
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"), *flag,
+                       "--out-dir", str(tmp_path)) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" \
+            in capsys.readouterr().err
 
     def test_unbalanced_fit_exits_2(self, runs_csv, tmp_path, capsys):
         # every depth-8 run at lr 0.01 diverged: the depth-8 cells keep
@@ -935,3 +966,33 @@ def test_importing_cli_leaves_scipy_unloaded(tmp_path):
         capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "regression.csv").exists()
+
+
+@pytest.mark.parametrize("body, loads_numpy", [
+    ("assert rlcc.cli.run(['simulate', '--duration-ms', '500', "
+     "'--out-dir', out]) == 0", False),
+    ("assert rlcc.cli.run(['train', '--override', 'x.y=1', "
+     "'--out-dir', out]) == 2", False),
+    # the set-up steps the bench times as setup_s
+    ("from rlcc.netsim import Simulator\n"
+     "sim_cfg, env_cfg, dqn_cfg = rlcc.cli.build_configs({})\n"
+     "Simulator(sim_cfg)", False),
+    ("assert rlcc.cli.run(['train', '--override', 'env.episode_length=40', "
+     "'--out-dir', out]) == 0", True),
+], ids=["simulate", "config error", "set-up", "train"])
+def test_startup_leaves_numpy_and_the_pool_unloaded(tmp_path, body,
+                                                    loads_numpy):
+    # only the commands that run the agent or fit a regression import
+    # numpy, and only a pool of workers imports concurrent.futures
+    src = os.path.dirname(os.path.dirname(rlcc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, rlcc.cli\nout = sys.argv[1]\n{body}\n"
+         "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)",
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    numpy_loaded, pool_loaded = proc.stdout.splitlines()[-1].split()
+    assert numpy_loaded == str(loads_numpy)
+    if not loads_numpy:
+        assert pool_loaded == "False"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, Batch, DqnAgent, DqnConfig,
-                      QNetwork, ReplayBuffer, Transition,
+from rlcc.dqn import (Batch, DqnAgent, QNetwork, ReplayBuffer, Transition,
                       TrainingDivergedError, act_epsilon_greedy, as_batch,
                       epsilon_at, loss_and_grads, td_targets, train_step)
+from rlcc.schema import ALLOWED_HIDDEN_COUNTS, DqnConfig
 
 
 def small_net(hidden_count=2, width=8, seed=0):

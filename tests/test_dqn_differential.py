@@ -28,10 +28,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_dqn
 from rlcc import cli, dqn
-from rlcc.dqn import (ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig, QNetwork,
-                      ReplayBuffer, Transition, TrainingDivergedError,
-                      loss_and_grads)
+from rlcc.dqn import (DqnAgent, QNetwork, ReplayBuffer, Transition,
+                      TrainingDivergedError, loss_and_grads)
 from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
+from rlcc.schema import ALLOWED_HIDDEN_COUNTS, DqnConfig
 
 
 def td_targets_reference(batch, target_net, gamma):

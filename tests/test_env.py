@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlcc.env import (DEFAULT_SCALES, Action, Env, EnvConfig, Observation,
+from rlcc.env import (DEFAULT_SCALES, Action, Env, Observation,
                       compute_reward, normalize)
 from rlcc.netsim import BottleneckSpec, SimConfig
+from rlcc.schema import EnvConfig
 
 
 class TestAction:

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from rlcc.dqn import ALLOWED_HIDDEN_COUNTS, DqnAgent, DqnConfig
-from rlcc.env import EnvConfig
-from rlcc.experiments import (FactorLevels, RunSpec, Step, convergence_step,
-                              derive_seed, enumerate_runs, execute_run)
+from rlcc.dqn import DqnAgent
+from rlcc.experiments import (FactorLevels, convergence_step, derive_seed,
+                              enumerate_runs, execute_run)
+from rlcc.schema import (ALLOWED_HIDDEN_COUNTS, DqnConfig, EnvConfig, RunSpec,
+                         Step)
 
 FAST_ENV = EnvConfig(episode_length=40)
 FAST_DQN = DqnConfig(train_updates_per_step=1)

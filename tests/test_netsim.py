@@ -10,9 +10,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from rlcc import netsim
-from rlcc.env import EnvConfig
 from rlcc.netsim import (BottleneckSpec, LinkSpec, SimConfig, Simulator,
                          update_rtt_ewma)
+from rlcc.schema import EnvConfig
 
 CAPACITY_BPS = 250_000  # 2 Mbps bottleneck in bytes/second
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from rlcc import stats
 from rlcc.experiments import FactorLevels
-from rlcc.stats import (RegressionRow, code_level, make_interaction_design,
-                        ols_fit, render_table, student_t_two_sided_p)
+from rlcc.schema import RegressionRow
+from rlcc.stats import (code_level, make_interaction_design, ols_fit,
+                        render_table, student_t_two_sided_p)
 
 
 def ols_oracle(X, y):
