@@ -9,6 +9,8 @@ by hand with reverse-mode accumulation; correctness is pinned by
 finite-difference tests.  A network's parameters are one flat vector, so an
 update or a target sync is one vector operation, and its passes write into
 buffers it keeps per row count (see QNetwork for how long results live).
+The agent keeps its networks and replay ring in float32 (DqnAgent.dtype);
+a network or ring built on its own is float64 unless given a dtype.
 Every product is an np.dot with the row-major activations or deltas on the
 left: the one orientation measured bit-equal at every row count.
 
@@ -48,10 +50,10 @@ class Batch(NamedTuple):
     and the drawn row indices, so td_targets can read the rows' target
     maxima from the ring; it reads the rows as they are then, so train on
     a sampled batch before the next push."""
-    states: np.ndarray        # [n, INPUT_DIM] float64
+    states: np.ndarray        # [n, INPUT_DIM] float (a ring's dtype)
     actions: np.ndarray       # [n] int64
-    rewards: np.ndarray       # [n] float64
-    next_states: np.ndarray   # [n, INPUT_DIM] float64
+    rewards: np.ndarray       # [n] float
+    next_states: np.ndarray   # [n, INPUT_DIM] float
     done: np.ndarray          # [n] bool
     ring: "ReplayBuffer | None" = None
     rows: np.ndarray | None = None   # [n] int64 row indices into ring
@@ -82,7 +84,7 @@ def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
 
 
 class QNetwork:
-    """MLP with every weight and bias in one float64 vector `theta`, and
+    """MLP with every weight and bias in one vector `theta` of `dtype`, and
     `layers` its (weight [out, in], bias [out]) views; `grad`, laid out the
     same, takes train_step's gradient.  Passes run on buffers kept per row
     count (a run uses 1 and the batch size): the list `activations` returns
@@ -97,14 +99,16 @@ class QNetwork:
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
-                 rng: np.random.Generator | None):
+                 rng: np.random.Generator | None, dtype=np.float64):
         self.sizes = (INPUT_DIM,) + (hidden_width,) * hidden_count \
             + (OUTPUT_DIM,)
+        self.dtype = np.dtype(dtype)
         size = sum((fan_in + 1) * fan_out
                    for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
-        if size * 8 > np.iinfo(np.intp).max:   # numpy raises ValueError
-            raise MemoryError(f"network of {size} float64 parameters")
-        self.theta = np.zeros(size)
+        # numpy raises ValueError for an array of more bytes than intp holds
+        if size * self.dtype.itemsize > np.iinfo(np.intp).max:
+            raise MemoryError(f"network of {size} parameters")
+        self.theta = np.zeros(size, self.dtype)
         self.grad = np.empty_like(self.theta)
         self.layers = self._views(self.theta)
         self._forward_layers = [(w.T, b) for w, b in self.layers]
@@ -112,7 +116,8 @@ class QNetwork:
         self._work: dict[int, dict] = {}
         self.version = 0
         for w, _ in self.layers if rng is not None else ():
-            # Glorot-uniform weights, zero biases (all zeros without rng).
+            # Glorot-uniform weights, zero biases (all zeros without rng);
+            # drawn in float64 whatever the dtype, so the rng's stream is too.
             fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -128,14 +133,15 @@ class QNetwork:
         return views
 
     @classmethod
-    def from_layers(cls, layers) -> "QNetwork":
-        """A network holding copies of (weight [out, in], bias [out]) pairs,
-        every hidden layer of one width; every shape must chain."""
-        layers = [(np.asarray(w, dtype=np.float64),
-                   np.asarray(b, dtype=np.float64)) for w, b in layers]
+    def from_layers(cls, layers, dtype=np.float64) -> "QNetwork":
+        """A network of dtype holding copies of (weight [out, in], bias
+        [out]) pairs, every hidden layer of one width; every shape must
+        chain."""
+        layers = [(np.asarray(w, dtype), np.asarray(b, dtype))
+                  for w, b in layers]
         if not layers or any(w.ndim != 2 for w, _ in layers):
             raise ValueError("need at least one layer, each weight 2-D")
-        net = cls(len(layers) - 1, layers[0][0].shape[0], None)
+        net = cls(len(layers) - 1, layers[0][0].shape[0], None, dtype)
         for (w, b), (view_w, view_b) in zip(layers, net.layers):
             if w.shape != view_w.shape or b.shape != view_b.shape:
                 raise ValueError("layer shapes must chain, one hidden width")
@@ -145,8 +151,8 @@ class QNetwork:
 
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """The input batch and every layer's output; the last entry is the
-        Q-values, shape (n, output width)."""
-        a = np.asarray(x, dtype=np.float64)
+        Q-values, shape (n, output width), all of the network's dtype."""
+        a = np.asarray(x, dtype=self.dtype)
         if a.ndim < 2:
             a = a.reshape(1, -1)
         if a.shape[1] != INPUT_DIM:
@@ -154,11 +160,12 @@ class QNetwork:
                 f"expected input dim {INPUT_DIM}, got {a.shape[1]}")
         n = a.shape[0]
         if n not in self._work:   # this network's buffers for n rows
-            hidden = np.empty((len(self.sizes) - 2, n, self.sizes[1]))
+            hidden = np.empty((len(self.sizes) - 2, n, self.sizes[1]),
+                              self.dtype)
             self._work[n] = dict(
-                acts=[None, *hidden, np.empty((n, OUTPUT_DIM))],
+                acts=[None, *hidden, np.empty((n, OUTPUT_DIM), self.dtype)],
                 hidden=hidden,   # acts[1:-1] are views of this block
-                deltas=[np.empty((n, k)) for k in self.sizes[1:]],
+                deltas=[np.empty((n, k), self.dtype) for k in self.sizes[1:]],
                 masks=np.empty(hidden.shape, dtype=bool),
                 row_starts=np.arange(n) * OUTPUT_DIM,   # flat index of Q[i, 0]
                 taken=np.empty(n, dtype=np.int64))
@@ -179,7 +186,7 @@ class QNetwork:
         self.version += 1
 
     def clone(self) -> "QNetwork":
-        return QNetwork.from_layers(self.layers)
+        return QNetwork.from_layers(self.layers, self.dtype)
 
 
 def act_epsilon_greedy(q: np.ndarray, epsilon: float,
@@ -272,9 +279,10 @@ def train_step(net: QNetwork, target_net: QNetwork,
 
 
 class ReplayBuffer:
-    """Uniform FIFO replay ring of preallocated row arrays; sampling is
-    without replacement.  Push k (counting from 0) writes row k % capacity,
-    so the oldest transition is the one overwritten.
+    """Uniform FIFO replay ring of preallocated row arrays, the float ones
+    of `dtype`; sampling is without replacement.  Push k (counting from 0)
+    writes row k % capacity, so the oldest transition is the one
+    overwritten.
 
     Each row also has a cached next-state target maximum and a mark saying
     whether it is fresh.  A push marks its row stale; a change of target
@@ -282,19 +290,21 @@ class ReplayBuffer:
     stale.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if capacity * INPUT_DIM * 8 > np.iinfo(np.intp).max:   # as QNetwork
+        self.dtype = np.dtype(dtype)
+        if capacity * INPUT_DIM * self.dtype.itemsize \
+                > np.iinfo(np.intp).max:   # as QNetwork
             raise MemoryError(f"replay ring of {capacity} rows")
         self.capacity = capacity
-        self._rows = Batch(np.empty((capacity, INPUT_DIM)),
+        self._rows = Batch(np.empty((capacity, INPUT_DIM), self.dtype),
                            np.empty(capacity, dtype=np.int64),
-                           np.empty(capacity),
-                           np.empty((capacity, INPUT_DIM)),
+                           np.empty(capacity, self.dtype),
+                           np.empty((capacity, INPUT_DIM), self.dtype),
                            np.empty(capacity, dtype=bool))
         self._pushed = 0
-        self._next_max = np.empty(capacity)
+        self._next_max = np.empty(capacity, self.dtype)
         self._fresh = np.zeros(capacity, dtype=bool)
         self._maxima_key = None   # (target net, its version, chunk rows)
 
@@ -338,15 +348,16 @@ class ReplayBuffer:
         When a drawn row is stale, every stale row is evaluated first, so
         rows pushed since the last evaluation share its calls.  Each call
         has exactly len(idx) rows, the last one zero-padded, because a BLAS
-        gemm row's bits can depend on the call's row count: on the dgemm
-        OpenBLAS ran at width 64 (runtime core SkylakeX; Haswell is only the
-        build target numpy reports), a row in a k-row call matched the same
-        row in a 32-row call only for k = 20, 24, 28 and 32, so less padding
-        would change training's last bits.  Where a row's bits do not also
-        depend on its position in the call (there: 1-4 rows or a multiple
-        of 4, the default 32 included), each maximum equals the one a
-        sampled batch evaluates itself; at other sizes the two may differ in
-        their last bits.
+        gemm row's bits can depend on the call's row count: on the sgemm and
+        the dgemm OpenBLAS ran at width 64 (runtime core SkylakeX; Haswell
+        is only the build target numpy reports), a row in a k-row call
+        matched the same row in a 32-row call only for k = 20, 24, 28 and
+        32, so less padding would change training's last bits.  Where a
+        row's bits do not also depend on its position in the call (there,
+        at both precisions: 1-4 rows or a multiple of 4, measured up to 40,
+        the default 32 included), each maximum equals the one a sampled
+        batch evaluates itself; at other sizes the two may differ in their
+        last bits.
         """
         chunk = len(idx)
         key = (target_net, target_net.version, chunk)
@@ -355,7 +366,8 @@ class ReplayBuffer:
             self._maxima_key = key
         if not self._fresh[idx].all():
             stale = np.flatnonzero(~self._fresh[:len(self)])
-            padded = np.zeros((-(-stale.size // chunk) * chunk, INPUT_DIM))
+            padded = np.zeros((-(-stale.size // chunk) * chunk, INPUT_DIM),
+                              self.dtype)
             padded[:stale.size] = self._rows.next_states[stale]
             maxima = [next_state_maxima(target_net, padded[i:i + chunk])
                       for i in range(0, len(padded), chunk)]
@@ -368,16 +380,21 @@ class DqnAgent:
     """Online DQN loop state: policy/target nets, buffer, epsilon schedule.
 
     One train_step per environment step once the buffer can fill a batch;
-    the target network re-syncs every target_sync_every train steps.
+    the target network re-syncs every target_sync_every train steps.  Both
+    networks and the ring hold `dtype`: float32 runs a learn in about 80 %
+    of float64's time, and the default grid's regression table is the same.
     """
+
+    dtype = np.float32
 
     def __init__(self, cfg: DqnConfig):
         cfg.validate()
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.net = QNetwork(cfg.hidden_count, cfg.hidden_width, self.rng)
+        self.net = QNetwork(cfg.hidden_count, cfg.hidden_width, self.rng,
+                            self.dtype)
         self.target_net = self.net.clone()
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, self.dtype)
         self.env_steps = 0
         self.train_steps = 0
         self.last_epsilon = cfg.epsilon_start

@@ -5,9 +5,11 @@ Every layer owns its (weight, bias) arrays, every pass allocates its
 activations, deltas and gradients, and the SGD update walks the layers.
 ``tests/test_dqn_differential.py`` trains it side by side with
 ``rlcc.dqn.QNetwork`` and ``train_step`` and requires equal losses, Q-values
-and weights.  Kept as it was; only the TD targets, batch stacking and the
-divergence error come from the package, so the replay ring serves both
-learners its cached target maxima through the same ``td_targets``.
+and weights.  Kept as it was, apart from a dtype (float64 by default, as
+``rlcc.dqn.QNetwork``) that its layers and every pass hold; only the TD
+targets, batch stacking and the divergence error come from the package, so
+the replay ring serves both learners its cached target maxima through the
+same ``td_targets``.
 """
 
 from __future__ import annotations
@@ -27,27 +29,30 @@ class QNetwork:
 
     def __init__(self, hidden_count: int, hidden_width: int,
                  rng: np.random.Generator,
-                 input_dim: int = INPUT_DIM, output_dim: int = OUTPUT_DIM):
+                 input_dim: int = INPUT_DIM, output_dim: int = OUTPUT_DIM,
+                 dtype=np.float64):
         sizes = [input_dim] + [hidden_width] * hidden_count + [output_dim]
         self.layers: list[tuple[np.ndarray, np.ndarray]] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            # Glorot-uniform weights, zero biases.
+            # Glorot-uniform weights drawn in float64, zero biases.
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            b = np.zeros(fan_out)
-            self.layers.append((w, b))
+            b = np.zeros(fan_out, dtype)
+            self.layers.append((w.astype(dtype), b))
+        self.dtype = np.dtype(dtype)
         self.input_dim = input_dim
         self.version = 0
 
     @classmethod
-    def from_layers(cls, layers) -> "QNetwork":
+    def from_layers(cls, layers, dtype=np.float64) -> "QNetwork":
         """Build directly from (weight, bias) pairs; shapes must chain."""
         net = cls.__new__(cls)
-        net.layers = [(np.array(w, dtype=np.float64),
-                       np.array(b, dtype=np.float64)) for w, b in layers]
+        net.layers = [(np.array(w, dtype=dtype), np.array(b, dtype=dtype))
+                      for w, b in layers]
         for (w, b), (w_next, _) in zip(net.layers, net.layers[1:]):
             if w.shape[0] != b.shape[0] or w_next.shape[1] != w.shape[0]:
                 raise ValueError("layer shapes do not chain")
+        net.dtype = np.dtype(dtype)
         net.input_dim = net.layers[0][0].shape[1]
         net.version = 0
         return net
@@ -55,7 +60,7 @@ class QNetwork:
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """The input batch and every layer's output; the last entry is the
         Q-values, shape (n, output_dim)."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        a = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         if a.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected input dim {self.input_dim}, got {a.shape[1]}")
@@ -79,7 +84,7 @@ class QNetwork:
         self.version += 1
 
     def clone(self) -> "QNetwork":
-        return QNetwork.from_layers(self.layers)
+        return QNetwork.from_layers(self.layers, self.dtype)
 
 
 def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,

@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rlcc
 from rlcc import cli, experiments, schema
@@ -302,6 +302,41 @@ class TestInvalidInput:
         assert code == 2
         assert "set by the grid design" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+# values at the edges of what a config key reads, and text that is no number
+EDGE_VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1", "0.5", "1e300",
+               "5e-324", "-1", str(2 ** 63 - 1), "abc"]
+# each command's flags for a short run, before FAST
+SHORT = {"simulate": ("--duration-ms", "1000"), "train": (), "baseline": (),
+         "grid": ("--reps", "1", "--jobs", "1")}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(SHORT)),
+       overrides=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)),
+                                    st.sampled_from(EDGE_VALUES)),
+                          min_size=1, max_size=3))
+# few drawn runs get past the checks; these two diverge (exits 3 and 4)
+@example(command="train", overrides=[("dqn.learning_rate", "1e300")])
+@example(command="grid", overrides=[("sim.segment_bytes", str(2 ** 63 - 1))])
+def test_exit_code_is_in_the_contract(command, overrides):
+    """Every command, under any 1-3 overrides of edge values, returns 0, 2,
+    3 or 4 with nothing escaping run(), and an exit 2 writes no file."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    import numpy as np
+    argv = [command, *SHORT[command], *FAST]
+    for key, value in overrides:
+        argv += ["--override", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out_dir, np.errstate(all="ignore"), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run_cli(*argv, "--out-dir", out_dir)
+        written = os.listdir(out_dir)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert written == []
 
 
 class TestOutDir:
@@ -618,6 +653,27 @@ class TestTrainAndBaseline:
         assert dict(zip(runs[0], runs[1]))["diverged"] == "true"
         # partial trace retained
         assert len(read_csv(tmp_path / "steps.csv")) >= 2
+
+    def test_float32_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        """At --lr 100 the third update's loss is past float32's largest
+        value (3.4e38), so the agent's float32 loss is inf and train exits 3;
+        a float64 agent keeps every loss of the same run finite."""
+        import numpy as np
+        from rlcc.dqn import DqnAgent
+        argv = ("train", *FAST, "--lr", "100")
+        with np.errstate(all="ignore"):
+            assert run_cli(*argv, "--out-dir", str(tmp_path / "f32")) == 3
+            monkeypatch.setattr(DqnAgent, "dtype", np.float64)
+            assert run_cli(*argv, "--out-dir", str(tmp_path / "f64")) == 0
+        runs = read_csv(tmp_path / "f32" / "runs.csv")
+        assert dict(zip(runs[0], runs[1]))["diverged"] == "true"
+        steps = read_csv(tmp_path / "f64" / "steps.csv")
+        column = STEPS_HEADER.index("loss")
+        losses = [float(row[column]) for row in steps[1:] if row[column]]
+        assert all(map(math.isfinite, losses))
+        assert max(losses) > np.finfo(np.float32).max
+        assert len(read_csv(tmp_path / "f32" / "steps.csv")) \
+            < len(steps) == 41
 
     def test_nonfinite_theta_after_last_update_exits_3(
             self, tmp_path, capsys, poison_last_train_step):

@@ -262,6 +262,19 @@ class TestTrainStep:
         with pytest.raises(TrainingDivergedError):
             train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_float32_overflow_raises(self):
+        # Q = 6e19 on a terminal zero-reward row: a loss of 3.6e39, past
+        # float32's largest value (3.4e38) but finite in float64
+        layers = [(np.full((3, 6), 1e19), np.zeros(3))]
+        batch = [Transition(np.ones(6), 0, 0.0, np.zeros(6), True)]
+        net = QNetwork.from_layers(layers)
+        loss = train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
+        assert loss == pytest.approx(3.6e39)
+        net = QNetwork.from_layers(layers, np.float32)
+        with pytest.raises(TrainingDivergedError):
+            train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
+
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
@@ -441,6 +454,26 @@ class TestConfigValidation:
 
 
 class TestAgent:
+    def test_trains_in_float32(self):
+        agent = DqnAgent(DqnConfig(seed=0, batch_size=4))
+        for tr in random_batch(np.random.default_rng(5), 4):
+            agent.buffer.push(*tr)
+        agent.select_action(np.zeros(6))
+        assert agent.learn() is not None
+        ring = agent.buffer
+        arrays = [*ring._rows[:5], ring._next_max]
+        for net in (agent.net, agent.target_net):
+            arrays += [net.theta, net.grad]
+            for work in net._work.values():
+                for buffers in work.values():
+                    arrays += buffers if isinstance(buffers, list) else \
+                        [buffers]
+        floats = {a.dtype for a in arrays if a.dtype.kind == "f"}
+        assert floats == {np.dtype(np.float32)}
+        assert agent.net._work.keys() == {1, 4}
+        assert agent.target_net._work.keys() == {4}
+        assert small_net().clone().theta.dtype == np.float64
+
     def test_learn_waits_for_full_batch(self):
         agent = DqnAgent(DqnConfig(seed=0, batch_size=8))
         for i in range(7):

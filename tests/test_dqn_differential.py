@@ -20,6 +20,15 @@ other sizes it computes the last rows with a narrower kernel, and the two
 chains may differ in their last bits.  This was measured on the SkylakeX
 core OpenBLAS 0.3.31 picked at run time; the "Haswell" numpy's show_config
 reports is its DYNAMIC_ARCH build target, not the kernel that ran.
+
+DqnAgent trains at float32, so the sgemm was measured again on that core:
+at width 64 it gives a row the same bits at every position for the same
+row counts as the dgemm, 1-4 and the multiples of 4 up to 40, and a row in
+a k-row call the bits of a 32-row call for the same k, 20, 24, 28 and 32.
+Each comparison with a reference runs at float64 and, as its `_float32`
+twin, at float32.  A float32 comparison is bitwise only: the float32
+cached-maxima test draws position-independent batch sizes, and the
+tolerances here are float64's.
 """
 
 import numpy as np
@@ -60,13 +69,23 @@ def rows_independent_of_position(net, n):
                for shift in range(1, n))
 
 
+def default_batch_is_position_independent(depth, dtype):
+    cfg = DqnConfig(hidden_count=depth)
+    net = QNetwork(depth, cfg.hidden_width, np.random.default_rng(depth),
+                   dtype)
+    return rows_independent_of_position(net, cfg.batch_size)
+
+
 @pytest.mark.parametrize("depth", ALLOWED_HIDDEN_COUNTS)
 def test_default_batch_is_position_independent(depth):
     """The premise under which default runs are byte-identical to the
     per-batch evaluation."""
-    cfg = DqnConfig(hidden_count=depth)
-    net = QNetwork(depth, cfg.hidden_width, np.random.default_rng(depth))
-    assert rows_independent_of_position(net, cfg.batch_size)
+    assert default_batch_is_position_independent(depth, np.float64)
+
+
+@pytest.mark.parametrize("depth", ALLOWED_HIDDEN_COUNTS)
+def test_default_batch_is_position_independent_float32(depth):
+    assert default_batch_is_position_independent(depth, np.float32)
 
 
 class ReferenceAgent(DqnAgent):
@@ -82,29 +101,55 @@ class ReferenceAgent(DqnAgent):
         return loss
 
 
-@settings(max_examples=60, deadline=None)
-@given(depth=st.sampled_from(ALLOWED_HIDDEN_COUNTS),
-       batch_size=st.integers(1, 32),
-       capacity_extra=st.integers(0, 80), pushes=st.integers(1, 70),
-       sync_every=st.integers(1, 60), updates=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1))
-# the default batch and a sync every 7 updates, without wrap
-@example(depth=2, batch_size=32, capacity_extra=60, pushes=60, sync_every=7,
-         updates=4, seed=1)
-# the ring wraps many times between syncs
-@example(depth=4, batch_size=8, capacity_extra=12, pushes=60, sync_every=60,
-         updates=4, seed=2)
-# a batch of one that diverges on the last of its 92 updates
-@example(depth=4, batch_size=1, capacity_extra=6, pushes=23, sync_every=1,
-         updates=4, seed=49)
-def test_cached_maxima_match_per_batch_evaluation(depth, batch_size,
-                                                  capacity_extra, pushes,
-                                                  sync_every, updates, seed):
+class Float64Agent(DqnAgent):
+    dtype = np.float64
+
+
+class Float64ReferenceAgent(ReferenceAgent):
+    dtype = np.float64
+
+
+def cached_maxima_draws(batch_sizes):
+    """The draws of a cached-maxima test, its batch sizes from batch_sizes."""
+    def draws(test):
+        # a batch of one that diverges on the last of its 92 updates (float64)
+        test = example(depth=4, batch_size=1, capacity_extra=6, pushes=23,
+                       sync_every=1, updates=4, seed=49)(test)
+        # the ring wraps many times between syncs
+        test = example(depth=4, batch_size=8, capacity_extra=12, pushes=60,
+                       sync_every=60, updates=4, seed=2)(test)
+        # the default batch and a sync every 7 updates, without wrap
+        test = example(depth=2, batch_size=32, capacity_extra=60, pushes=60,
+                       sync_every=7, updates=4, seed=1)(test)
+        return settings(max_examples=60, deadline=None)(given(
+            depth=st.sampled_from(ALLOWED_HIDDEN_COUNTS),
+            batch_size=batch_sizes,
+            capacity_extra=st.integers(0, 80), pushes=st.integers(1, 70),
+            sync_every=st.integers(1, 60), updates=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1))(test))
+    return draws
+
+
+@cached_maxima_draws(st.integers(1, 32))
+def test_cached_maxima_match_per_batch_evaluation(**draws):
+    check_cached_maxima(Float64Agent, Float64ReferenceAgent, **draws)
+
+
+# the batch sizes at which sgemm gives each row the same bits anywhere
+@cached_maxima_draws(st.sampled_from([1, 2, 3, 4, 8, 12, 16, 20, 24, 28, 32]))
+def test_cached_maxima_match_per_batch_evaluation_float32(**draws):
+    check_cached_maxima(DqnAgent, ReferenceAgent, **draws)
+
+
+def check_cached_maxima(agent_cls, reference_cls, depth, batch_size,
+                        capacity_extra, pushes, sync_every, updates, seed):
     cfg = DqnConfig(hidden_count=depth, batch_size=batch_size,
                     buffer_capacity=batch_size + capacity_extra,
                     target_sync_every=sync_every, seed=seed)
-    agent, reference = DqnAgent(cfg), ReferenceAgent(cfg)
+    agent, reference = agent_cls(cfg), reference_cls(cfg)
     exact = rows_independent_of_position(agent.target_net, batch_size)
+    # the tolerances below are float64's
+    assert exact or agent.dtype == np.float64
     source = np.random.default_rng(seed)
     diverged = False
     for _ in range(pushes):
@@ -196,36 +241,54 @@ def assert_same(got, want, exact):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(depth=st.integers(1, 8), width=st.sampled_from([1, 7, 64]),
-       batch_size=st.integers(1, 40), capacity_extra=st.integers(0, 30),
-       pushes=st.integers(1, 60), sync_every=st.integers(1, 12),
-       lr=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
-# the default network and batch; the ring wraps and the target syncs often
-@example(depth=2, width=64, batch_size=32, capacity_extra=8, pushes=60,
-         sync_every=3, lr=0.01, seed=1)
-@example(depth=8, width=64, batch_size=32, capacity_extra=0, pushes=50,
-         sync_every=5, lr=0.001, seed=2)
-# a narrow net at an odd batch size
-@example(depth=3, width=7, batch_size=5, capacity_extra=3, pushes=40,
-         sync_every=4, lr=0.02, seed=3)
-def test_flat_learner_matches_per_layer_reference(depth, width, batch_size,
-                                                  capacity_extra, pushes,
-                                                  sync_every, lr, seed):
+def flat_learner_draws(test):
+    """The draws of a flat-learner test."""
+    # a narrow net at an odd batch size
+    test = example(depth=3, width=7, batch_size=5, capacity_extra=3,
+                   pushes=40, sync_every=4, lr=0.02, seed=3)(test)
+    # the default network and batch; the ring wraps and the target syncs often
+    test = example(depth=8, width=64, batch_size=32, capacity_extra=0,
+                   pushes=50, sync_every=5, lr=0.001, seed=2)(test)
+    test = example(depth=2, width=64, batch_size=32, capacity_extra=8,
+                   pushes=60, sync_every=3, lr=0.01, seed=1)(test)
+    return settings(max_examples=40, deadline=None)(given(
+        depth=st.integers(1, 8), width=st.sampled_from([1, 7, 64]),
+        batch_size=st.integers(1, 40), capacity_extra=st.integers(0, 30),
+        pushes=st.integers(1, 60), sync_every=st.integers(1, 12),
+        lr=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))(test))
+
+
+@flat_learner_draws
+def test_flat_learner_matches_per_layer_reference(**draws):
     """Both learners take the same updates and syncs from two rings fed the
     same pushes and sampled with the same seed.  A gradient an outside
     caller gets from loss_and_grads is held across each update.  Losses,
     held gradients, Q-values and weights must be bitwise equal where the
     batch size is position-stable, else agree to 1e-9 relative.  A run that
     diverges must diverge on the same update in both."""
-    net = QNetwork(depth, width, np.random.default_rng(seed))
-    ref = reference_dqn.QNetwork(depth, width, np.random.default_rng(seed))
+    check_flat_learner(np.float64, **draws)
+
+
+@flat_learner_draws
+def test_flat_learner_matches_per_layer_reference_float32(**draws):
+    """As at float64; the two learners run the same sgemm calls on the same
+    rows, so they agree bit for bit at every batch size."""
+    check_flat_learner(np.float32, **draws)
+
+
+def check_flat_learner(dtype, depth, width, batch_size, capacity_extra,
+                       pushes, sync_every, lr, seed):
+    net = QNetwork(depth, width, np.random.default_rng(seed), dtype)
+    ref = reference_dqn.QNetwork(depth, width, np.random.default_rng(seed),
+                                 dtype=dtype)
     assert np.array_equal(net.theta, reference_theta(ref))
     target, ref_target = net.clone(), ref.clone()
     capacity = batch_size + capacity_extra
-    ring, ref_ring = ReplayBuffer(capacity), ReplayBuffer(capacity)
+    ring = ReplayBuffer(capacity, dtype)
+    ref_ring = ReplayBuffer(capacity, dtype)
     rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-    exact = rows_independent_of_position(net, batch_size)
+    exact = rows_independent_of_position(net, batch_size) \
+        or dtype != np.float64   # the tolerances below are float64's
     source = np.random.default_rng(seed)
     probe = source.normal(size=(batch_size, 6))
     updates = 0
@@ -273,17 +336,26 @@ def test_every_row_count_matches_reference_bitwise():
     orientation on the same rows.  Computing a layer as W @ A.T into a
     transposed buffer instead of A @ W.T changes the last bits at some row
     counts; depth 0 checks a network without hidden layers."""
+    check_every_row_count(np.float64)
+
+
+def test_every_row_count_matches_reference_bitwise_float32():
+    check_every_row_count(np.float32)
+
+
+def check_every_row_count(dtype):
     rng = np.random.default_rng(19)
     for depth in range(9):
         for width in (1, 7, 16, 64):
-            net = QNetwork(depth, width, rng)
+            net = QNetwork(depth, width, rng, dtype)
             for _, b in net.layers:
                 b[...] = rng.normal(scale=0.1, size=b.shape)
-            ref = reference_dqn.QNetwork.from_layers(net.layers)
+            ref = reference_dqn.QNetwork.from_layers(net.layers, dtype)
             for n in range(1, 41):
                 x = rng.normal(size=(n, 6))
                 actions = rng.integers(3, size=n)
-                targets = rng.normal(size=n)
+                # of the network's dtype, as a ring's rewards are
+                targets = rng.normal(size=n).astype(dtype)
                 where = (depth, width, n)
                 assert np.array_equal(net.activations(x)[-1],
                                       ref.activations(x)[-1]), where

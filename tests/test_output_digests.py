@@ -1,14 +1,14 @@
-"""Byte identity of every command's outputs against BENCH_19.json.
+"""Byte identity of every command's outputs against BENCH_26.json.
 
 Each case runs one command in-process and compares the sha256 of every CSV
 it writes, of its stdout and, where it writes any, of its stderr with the
-digests recorded in BENCH_19.json (`byte_identity.digests`).
+digests recorded in BENCH_26.json (`byte_identity.digests`).
 
 `simulate` runs no BLAS call and `baseline` builds no agent, so the bytes
 of their outputs do not depend on the host's BLAS core: a byte change in
 `netsim`, `env`, `experiments` or the CSV writer fails here on any host.
-`train` and `grid` run the learner, whose last bits follow the dgemm
-kernel, and `analyze` fits that grid's runs.  Those cases run only where the
+`train` and `grid` run the learner, whose last bits follow the sgemm
+kernel of its float32 networks, and `analyze` fits that grid's runs.  Those cases run only where the
 OpenBLAS numpy loaded reports the configuration the digests were recorded
 on, and skip elsewhere.
 """
@@ -26,7 +26,7 @@ from rlcc.cli import run as cli_run
 
 LOSSY = ("--override", "sim.bottleneck_link.loss_prob=0.2")
 
-# name: (argv, {output: sha256}), copied from BENCH_19.json
+# name: (argv, {output: sha256}), copied from BENCH_26.json
 CASES = {
     "sim1": (
         ("simulate", "--cwnd", "1", "--duration-ms", "50000"),
@@ -84,57 +84,57 @@ TRAIN_CASES = {
         ("train", "--layers", "2", "--error-rate", "0.0"),
         {"runs.csv": "1780ef280d7b1b2dec2fee44543685d2"
                      "696e2efc9fd16a8bd947f05bf652b7b6",
-         "steps.csv": "fbd2ef4eb2179731ed685d68e0756361"
-                      "a122da5e982363ed7ab6996c4548da75",
+         "steps.csv": "67ae0407fb846c699a11274cff4efb96"
+                      "00e0e4cae2a56a2f95c215b328871333",
          "stdout": "16c779cc2e3c51736f69b156b30822e0"
                    "93af5a1c51dc75afc60f4491ba8beb33"}),
     "train_2_0.2": (
         ("train", "--layers", "2", "--error-rate", "0.2"),
         {"runs.csv": "ea5809bff23ff7f70774136096e04bb0"
                      "d925244df33029c486b3c5921825715f",
-         "steps.csv": "d9d7485a61f24283d3a2ea913209dfbe"
-                      "b814063fca92a4aba3f3976a2a53aed8",
+         "steps.csv": "59bdab1092e056d4fcc8ee218df75256"
+                      "c50e2a0b49308a34397fb76633de1368",
          "stdout": "e426d462e1714a9f4335e854992b9529"
                    "e414e56905f3b8418a9363dc5861bccb"}),
     "train_4_0.0": (
         ("train", "--layers", "4", "--error-rate", "0.0"),
         {"runs.csv": "1861fd0006e030f413b0dc343b0ae9e4"
                      "4cb353eded28a768488a55daf7b66a6e",
-         "steps.csv": "6adaf81449370e5c36e31bf4e847e02b"
-                      "c1e1b2d967498507bf3b311e1049d835",
+         "steps.csv": "00ce8b3df11e3aa1415f9765f9d78892"
+                      "654d7c797ebcf91d8ce41221d695cc7e",
          "stdout": "e18a853c8c9e82a7bc696d60661c996d"
                    "3af2bdc0588b363a95f5314d0f573639"}),
     "train_4_0.2": (
         ("train", "--layers", "4", "--error-rate", "0.2"),
         {"runs.csv": "709dff17bf4cefb1761c034ae75cd0d8"
                      "6c37a66c7c73812810dc1ce0b299bbf1",
-         "steps.csv": "b4b6a0447ddb1d8b82b87d6e26c5038d"
-                      "79140bd12bba41b5070b4769027b24be",
+         "steps.csv": "9412f741fe9d23df0f7932838e6595d9"
+                      "9790b58058e4d14573d17fdb1abddc08",
          "stdout": "76afb10fc9f14146041ef8fa8ab39600"
                    "88ebfe1c922a483ecb8204a33843cc28"}),
     "train_8_0.0": (
         ("train", "--layers", "8", "--error-rate", "0.0"),
-        {"runs.csv": "ef5f923ebf18117faa84c2fd580e891c"
-                     "bfd3cf0d0bdb55a046106c3585b1b5b7",
-         "steps.csv": "c941aa2e79dc7b064d3c9c8bf835f669"
-                      "03ac159cbff98d2e14158ada2e13e9f3",
-         "stdout": "e5d943e8bdb1a701dbe2eaef97c06311"
-                   "b7e56342414086409f9f5c8d9b693117"}),
+        {"runs.csv": "c1a3695d92f99eb09757e1efdfc44f4c"
+                     "29bce4134fe6e9203df74c9acc87f6aa",
+         "steps.csv": "b496800e71ee041a4e997cd50cf72a3e"
+                      "26d891dde63f5110e2f392210ecd58ec",
+         "stdout": "15a2f02f3936dbd1eb4363b292b92be2"
+                   "d1e8ab6f4f293341b406838d56fe977c"}),
     "train_8_0.2": (
         ("train", "--layers", "8", "--error-rate", "0.2"),
         {"runs.csv": "7dab15c432c3e4dbeab3b08865286765"
                      "1c35a6c6a1e695541d4530bcb2c9f513",
-         "steps.csv": "25ca3cf9e87d483b31e3515375297f8e"
-                      "45397515dbd43790bff6da870f094784",
+         "steps.csv": "c6bb18b2766fbde991b8b108ab84010b"
+                      "3cd8fcd1aa9e374822e1cb015a4557ba",
          "stdout": "60453fd7f6173c08baf6ee3635bfcd62"
                    "820a04167689f45882ac05c8fdabd440"}),
 }
 
 # grid --reps 2 --jobs 2 -> {output: sha256}
-GRID_DIGESTS = {"runs.csv": "af561f12ce0e590a033220edbf46de63"
-                            "d12d258ce501df27cfdd2962a4f962f4",
-                "steps.csv": "a479a67cc20b09efffc079958ffbb782"
-                             "06f671f9b1638fa6fbe73955b03ca9d2",
+GRID_DIGESTS = {"runs.csv": "e31a08b7c87e477cbde0a2ef411a1068"
+                            "e43d65bea1624792321b67062ef46ead",
+                "steps.csv": "329411e0026eb5d36ab3ae5eaebb7765"
+                             "055f54436b1438abaa2c4019d8c27b57",
                 "stdout": "5f7c3c61817cc2741c637247565e04f5"
                           "298da2bb884e32281878d51385b6470b"}
 
@@ -159,8 +159,8 @@ ANALYZE_CASES = {
 
 #: The OpenBLAS configuration the learner's digests were recorded on, as the
 #: library reports it at run time.  numpy's show_config names the build
-#: target of this DYNAMIC_ARCH build (Haswell); the core it runs, and so a
-#: dgemm's last bits, is picked for the CPU when the library loads.
+#: target of this DYNAMIC_ARCH build (Haswell); the core it runs, and so an
+#: sgemm's last bits, is picked for the CPU when the library loads.
 RECORDED_BLAS = ("OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
                  "NO_AFFINITY SkylakeX MAX_THREADS=64")
 
