@@ -20,12 +20,14 @@ env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
 analyze reads no configuration (its flags are --runs, --factors, --response and
 --out-dir), fits two or three factors with all their interactions, and prints
-each cell's kept and dropped run counts to stderr; when it pools a factor, it
-refuses a cell that keeps unequal run counts at that factor's levels.  grid
-starts at most one worker per usable CPU.
---out-dir is created before a command starts; CSVs are written atomically,
-and every output is fully determined by --base-seed.  steps.csv rows are
-schema.Step tuples, whose fields are its columns.
+each cell's kept and dropped run counts to stderr; when it pools a factor, a
+kept run's cell there must be a declared level, and it refuses a cell that
+keeps unequal run counts at that factor's levels.  grid starts at most one
+worker per usable CPU.
+--out-dir is created, and must be writable, before a command starts; CSVs
+are written atomically, and every output is fully determined by
+--base-seed.  steps.csv rows are schema.Step tuples, whose fields are its
+columns.
 
 Exit codes: 0 success, 2 invalid input (including a configuration too large
 to allocate or an unbalanced fit), 3 training divergence (train), 4 partial
@@ -384,18 +386,20 @@ def _labels(names, values) -> str:
 def cmd_analyze(args) -> int:
     from . import experiments, stats
     factor_names = [f.strip() for f in args.factors.split(",")]
-    most = len(fields(experiments.FactorLevels))
+    design = [f.name for f in fields(experiments.FactorLevels)]
+    most = len(design)
     if not 2 <= len(factor_names) <= most:
         raise CliError(f"--factors expects 2 to {most} comma-separated names")
     for name in factor_names:
+        if name not in design:
+            raise CliError(f"--factors names {name!r}, not a design factor")
         if factor_names.count(name) > 1:
             raise CliError(f"--factors names {name!r} more than once")
     rows = _parse_runs_csv(args.runs)
     if not rows:
         raise CliError(f"{args.runs} contains no runs")
     # the design factors the fit pools its runs over
-    pooled = [f.name for f in fields(experiments.FactorLevels)
-              if f.name not in factor_names]
+    pooled = [name for name in design if name not in factor_names]
     for column in (*factor_names, *pooled, args.response, "diverged"):
         if column not in rows[0]:
             raise CliError(f"column {column!r} missing from {args.runs}")
@@ -413,11 +417,17 @@ def cmd_analyze(args) -> int:
         return [_parse(f"{args.runs} row {i}: {column}", finite_float,
                        r[column]) for i, r in kept]
 
-    try:
-        coded = {name: [stats.code_level(name, v) for v in cells(name)]
-                 for name in factor_names}
-    except ValueError as exc:
-        raise CliError(str(exc))
+    def coded_cells(factor):
+        levels = []
+        for (i, _), value in zip(kept, cells(factor)):
+            try:
+                levels.append(stats.code_level(factor, value))
+            except ValueError as exc:
+                raise CliError(f"{args.runs} row {i}: {factor}: {exc}")
+        return levels
+
+    # the pooled factors' too: the fit pools declared levels only
+    coded = {name: coded_cells(name) for name in (*factor_names, *pooled)}
     for name in factor_names:
         if len(set(coded[name])) < 2:
             raise CliError(f"factor {name!r} needs at least two levels in the data")
@@ -522,6 +532,9 @@ def run(argv=None) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot use --out-dir: {exc}") from exc
+        if not os.access(args.out_dir, os.W_OK | os.X_OK):
+            raise CliError(f"cannot use --out-dir: {args.out_dir!r} is not "
+                           "writable")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,19 @@ and weights.  Kept as it was, apart from a dtype (float64 by default, as
 targets, batch stacking and the divergence error come from the package, so
 the replay ring serves both learners its cached target maxima through the
 same ``td_targets``.
+
+``per_batch_train_step`` is the other update replaced: train_step before
+the replay ring cached target maxima, evaluating the target network on each
+batch's own next states.  It updates a package ``rlcc.dqn.QNetwork`` through
+the package's ``loss_and_grads``, so a test of the ring's cache compares the
+TD targets alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rlcc import dqn
 from rlcc.dqn import (INPUT_DIM, OUTPUT_DIM, TrainingDivergedError, as_batch,
                       td_targets)
 
@@ -117,6 +124,21 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, lr: float,
     batch = as_batch(batch)
     targets = td_targets(batch, target_net, gamma)
     loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss {loss}")
+    for (w, b), (dw, db) in zip(net.layers, grads):
+        w -= lr * dw
+        b -= lr * db
+    return loss
+
+
+def per_batch_train_step(net: dqn.QNetwork, target_net: dqn.QNetwork,
+                         batch: dqn.Batch, lr: float, gamma: float) -> float:
+    """train_step with the TD targets from one target-network call on the
+    batch's own next states, whatever ring the batch was sampled from."""
+    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
+    targets = batch.rewards + gamma * next_max * ~batch.done
+    loss, grads = dqn.loss_and_grads(net, batch.states, batch.actions, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
     for (w, b), (dw, db) in zip(net.layers, grads):

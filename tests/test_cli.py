@@ -339,11 +339,49 @@ def test_exit_code_is_in_the_contract(command, overrides):
         assert written == []
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(row=st.integers(1, 12), column=st.sampled_from(RUNS_HEADER),
+       value=st.sampled_from([*EDGE_VALUES, ""]))
+def test_analyze_exit_code_is_in_the_contract(row, column, value):
+    """analyze on a runs.csv with any one cell set to an edge value returns
+    0 or 2 with nothing escaping run().  An exit 2 prints one error line and
+    writes no regression.csv; an exit 0 writes one headed REGRESSION_HEADER."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    import numpy as np
+
+    def edit(table):
+        table[row][RUNS_HEADER.index(column)] = value
+    with tempfile.TemporaryDirectory() as out_dir, np.errstate(all="ignore"), \
+            redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()) as err:
+        runs = os.path.join(out_dir, "runs.csv")
+        write_runs_csv(runs, edit)
+        code = run_cli("analyze", "--runs", runs, "--out-dir", out_dir)
+        regression = os.path.join(out_dir, "regression.csv")
+        header = read_csv(regression)[0] if os.path.exists(regression) \
+            else None
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+        assert header is None
+    else:
+        assert header == REGRESSION_HEADER
+
+
 class TestOutDir:
-    @pytest.fixture(params=["a file", "under a file"])
-    def unusable_out_dir(self, request, tmp_path):
+    @pytest.fixture(params=["a file", "under a file", "unwritable"])
+    def unusable_out_dir(self, request, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
+        if request.param == "unwritable":
+            # root ignores mode bits, so the write check is made to fail
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+                path != str(tmp_path) and access(path, mode, **kw)))
+            return tmp_path
         return blocker if request.param == "a file" else blocker / "sub"
 
     @pytest.mark.parametrize("argv", [
@@ -356,7 +394,9 @@ class TestOutDir:
         calls = []
         monkeypatch.setattr(experiments, "execute_run",
                             lambda *a, **kw: calls.append(a))
-        assert_exits_2(capsys, *argv, "--out-dir", str(unusable_out_dir))
+        assert run_cli(*argv, "--out-dir", str(unusable_out_dir)) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: cannot use --out-dir")
         assert calls == []
 
 
@@ -930,6 +970,15 @@ class TestAnalyze:
             f"error: --factors names {name!r} more than once\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("factors, name", [("error_rate,rep", "rep"),
+                                               ("flux,layers", "flux")])
+    def test_unknown_factor_exit_2(self, tmp_path, capsys, factors, name):
+        # rejected before the runs file is read: this one does not exist
+        assert run_cli("analyze", "--runs", str(tmp_path / "missing.csv"),
+                       "--factors", factors, "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --factors names {name!r}, not a design factor\n")
+
     def test_three_factors_need_two_levels_each(self, tmp_path, capsys):
         # write_runs_csv holds one learning rate
         write_runs_csv(tmp_path / "runs.csv")
@@ -996,6 +1045,27 @@ class TestAnalyze:
         # the counts go to stderr only: stdout is the table alone
         assert captured.out.splitlines()[0].split()[0] == "Term"
         assert "cell" not in captured.out
+
+    @pytest.mark.parametrize("cell, message", [
+        ("banana", "'banana' is not a finite number"),
+        ("nan", "'nan' is not a finite number"),
+        ("0.5", "0.5 is not a declared level of 'learning_rate'")],
+        ids=["text", "nan", "undeclared"])
+    def test_pooled_cells_are_declared_levels(self, tmp_path, capsys, cell,
+                                              message):
+        # every run again at a second learning rate, each of its cells
+        # `cell`: the pooled fit stays balanced
+        def add_pool(table):
+            lr = RUNS_HEADER.index("learning_rate")
+            table += [row[:lr] + [cell] + row[lr + 1:] for row in table[1:]]
+        runs = tmp_path / "runs.csv"
+        write_runs_csv(runs, add_pool)
+        out_dir = tmp_path / "out"
+        assert run_cli("analyze", "--runs", str(runs),
+                       "--out-dir", str(out_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {runs} row 13: learning_rate: {message}"]
+        assert not (out_dir / "regression.csv").exists()
 
     @pytest.mark.parametrize("edit", MALFORMED_RUNS.values(),
                              ids=MALFORMED_RUNS.keys())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_dqn import per_batch_train_step
 from rlcc.dqn import (Batch, DqnAgent, QNetwork, ReplayBuffer, Transition,
                       TrainingDivergedError, act_epsilon_greedy, as_batch,
                       epsilon_at, loss_and_grads, td_targets, train_step)
@@ -372,18 +373,6 @@ def stack_reference(transitions):
                  done=np.array([t.done for t in transitions]))
 
 
-def train_step_reference(net, target_net, transitions, lr, gamma):
-    """train_step as computed from a Transition list."""
-    ref = stack_reference(transitions)
-    next_max = target_net.activations(ref.next_states)[-1].max(axis=1)
-    targets = ref.rewards + gamma * next_max * ~ref.done
-    loss, grads = loss_and_grads(net, ref.states, ref.actions, targets)
-    for (w, b), (dw, db) in zip(net.layers, grads):
-        w -= lr * dw
-        b -= lr * db
-    return loss
-
-
 class TestReplayRingMatchesList:
     @settings(max_examples=60, deadline=None)
     @given(capacity=st.integers(1, 50), data=st.data(),
@@ -410,15 +399,15 @@ class TestReplayRingMatchesList:
         for n in sizes:
             batch = ring.sample(n, ring_rng)
             expected = reference.sample(n, ref_rng)
-            for got, want in zip(batch[:5], stack_reference(expected)):
+            ref_batch = stack_reference(expected)
+            for got, want in zip(batch[:5], ref_batch):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            for got, want in zip(as_batch(expected)[:5],
-                                 stack_reference(expected)):
+            for got, want in zip(as_batch(expected)[:5], ref_batch):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             loss = train_step(net, target, batch, lr=0.01, gamma=0.95)
-            ref_loss = train_step_reference(ref_net, target, expected,
+            ref_loss = per_batch_train_step(ref_net, target, ref_batch,
                                             lr=0.01, gamma=0.95)
             assert loss == ref_loss
         for (w, b), (rw, rb) in zip(net.layers, ref_net.layers):

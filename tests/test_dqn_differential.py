@@ -1,34 +1,30 @@
 """Differential tests of the learner against the code it replaced.
 
-The replay ring's cached target maxima are checked against the TD-target
-chain that evaluated the target network on every sampled batch, and the
-flat-parameter QNetwork and train_step against the per-layer learner kept
-in ``tests/reference_dqn.py``.
+The replay ring's cached target maxima are checked against the per-batch
+update that evaluated the target network on every sampled batch,
+``reference_dqn.per_batch_train_step``, and the flat-parameter QNetwork and
+train_step against the per-layer learner in ``tests/reference_dqn.py``.
+Each comparison runs at float64 and at the agent's float32.
 
-`ReferenceAgent` is DqnAgent with the old learn step: each update runs the
-frozen target network on the batch's own next states.  Both agents are
+`ReferenceAgent` is DqnAgent with the per-batch update.  Both agents are
 driven through buffer.push/learn on the same transitions and seeds, so they
 draw the same samples.  The draws cover ring wrap (capacity below the
 number of pushes), syncs from every update to rarely, and batch sizes 1-32.
 
-The ring evaluates a row in a call of batch-size rows at some position;
-the old chain evaluated it at its sampled position.  Where BLAS gives a
-row the same bits at every position of a call of that size, every loss and
-the final weights must be bitwise equal.  The dgemm OpenBLAS runs at width
-64 does so for 1-4 rows and multiples of 4, the default 32 included; at
-other sizes it computes the last rows with a narrower kernel, and the two
-chains may differ in their last bits.  This was measured on the SkylakeX
-core OpenBLAS 0.3.31 picked at run time; the "Haswell" numpy's show_config
+Every comparison is bit for bit but one.  The flat and the per-layer
+learner run the same gemm calls on the same rows, so they agree at every
+row count.  The ring evaluates a row in a call of batch-size rows at some
+position, the per-batch update at its sampled position; the two agree only
+where BLAS gives a row the same bits at every position of a call of that
+size.  At width 64 the dgemm and the sgemm OpenBLAS runs do so for 1-4 rows
+and the multiples of 4 up to 40, the default 32 included; at other sizes
+they compute the last rows with a narrower kernel.  So the float64
+cached-maxima test, which draws every batch size 1-32, holds losses and
+weights to 1e-9 relative at the other sizes, and the float32 one draws only
+these sizes.  A row in a k-row call also gets the bits of a 32-row call for
+the same k, 20, 24, 28 and 32.  This was measured on the SkylakeX core
+OpenBLAS 0.3.31 picked at run time; the "Haswell" numpy's show_config
 reports is its DYNAMIC_ARCH build target, not the kernel that ran.
-
-DqnAgent trains at float32, so the sgemm was measured again on that core:
-at width 64 it gives a row the same bits at every position for the same
-row counts as the dgemm, 1-4 and the multiples of 4 up to 40, and a row in
-a k-row call the bits of a 32-row call for the same k, 20, 24, 28 and 32.
-Each comparison with a reference runs at float64 and, as its `_float32`
-twin, at float32.  A float32 comparison is bitwise only: the float32
-cached-maxima test draws position-independent batch sizes, and the
-tolerances here are float64's.
 """
 
 import numpy as np
@@ -42,21 +38,12 @@ from rlcc.dqn import (DqnAgent, QNetwork, ReplayBuffer, Transition,
 from rlcc.experiments import FactorLevels, enumerate_runs, execute_run
 from rlcc.schema import ALLOWED_HIDDEN_COUNTS, DqnConfig
 
-
-def td_targets_reference(batch, target_net, gamma):
-    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
-    return batch.rewards + gamma * next_max * ~batch.done
+DTYPES = pytest.mark.parametrize("dtype", ["float64", "float32"])
 
 
-def train_step_reference(net, target_net, batch, lr, gamma):
-    targets = td_targets_reference(batch, target_net, gamma)
-    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(f"non-finite loss {loss}")
-    for (w, b), (dw, db) in zip(net.layers, grads):
-        w -= lr * dw
-        b -= lr * db
-    return loss
+def assert_bitwise(got, want):
+    # NaNs must sit at the same places
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def rows_independent_of_position(net, n):
@@ -69,23 +56,15 @@ def rows_independent_of_position(net, n):
                for shift in range(1, n))
 
 
-def default_batch_is_position_independent(depth, dtype):
+@pytest.mark.parametrize("depth", ALLOWED_HIDDEN_COUNTS)
+@DTYPES
+def test_default_batch_is_position_independent(dtype, depth):
+    """The premise under which default runs are byte-identical to the
+    per-batch evaluation."""
     cfg = DqnConfig(hidden_count=depth)
     net = QNetwork(depth, cfg.hidden_width, np.random.default_rng(depth),
                    dtype)
-    return rows_independent_of_position(net, cfg.batch_size)
-
-
-@pytest.mark.parametrize("depth", ALLOWED_HIDDEN_COUNTS)
-def test_default_batch_is_position_independent(depth):
-    """The premise under which default runs are byte-identical to the
-    per-batch evaluation."""
-    assert default_batch_is_position_independent(depth, np.float64)
-
-
-@pytest.mark.parametrize("depth", ALLOWED_HIDDEN_COUNTS)
-def test_default_batch_is_position_independent_float32(depth):
-    assert default_batch_is_position_independent(depth, np.float32)
+    assert rows_independent_of_position(net, cfg.batch_size)
 
 
 class ReferenceAgent(DqnAgent):
@@ -93,8 +72,9 @@ class ReferenceAgent(DqnAgent):
         if len(self.buffer) < self.cfg.batch_size:
             return None
         batch = self.buffer.sample(self.cfg.batch_size, self.rng)
-        loss = train_step_reference(self.net, self.target_net, batch,
-                                    self.cfg.learning_rate, self.cfg.gamma)
+        loss = reference_dqn.per_batch_train_step(
+            self.net, self.target_net, batch, self.cfg.learning_rate,
+            self.cfg.gamma)
         self.train_steps += 1
         if self.train_steps % self.cfg.target_sync_every == 0:
             self.target_net.copy_from(self.net)
@@ -179,7 +159,7 @@ def check_cached_maxima(agent_cls, reference_cls, depth, batch_size,
         for array, ref_array in zip(got, want):
             # NaNs must sit at the same places, as assert_allclose requires
             if exact:
-                assert np.array_equal(array, ref_array, equal_nan=True)
+                assert_bitwise(array, ref_array)
             else:
                 np.testing.assert_allclose(array, ref_array, rtol=1e-9,
                                            atol=1e-12)
@@ -233,62 +213,38 @@ def reference_theta(net):
                            for w, b in net.layers])
 
 
-def assert_same(got, want, exact):
-    # NaNs must sit at the same places, as assert_allclose also requires
-    if exact:
-        assert np.array_equal(got, want, equal_nan=True)
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
-def flat_learner_draws(test):
-    """The draws of a flat-learner test."""
-    # a narrow net at an odd batch size
-    test = example(depth=3, width=7, batch_size=5, capacity_extra=3,
-                   pushes=40, sync_every=4, lr=0.02, seed=3)(test)
-    # the default network and batch; the ring wraps and the target syncs often
-    test = example(depth=8, width=64, batch_size=32, capacity_extra=0,
-                   pushes=50, sync_every=5, lr=0.001, seed=2)(test)
-    test = example(depth=2, width=64, batch_size=32, capacity_extra=8,
-                   pushes=60, sync_every=3, lr=0.01, seed=1)(test)
-    return settings(max_examples=40, deadline=None)(given(
-        depth=st.integers(1, 8), width=st.sampled_from([1, 7, 64]),
-        batch_size=st.integers(1, 40), capacity_extra=st.integers(0, 30),
-        pushes=st.integers(1, 60), sync_every=st.integers(1, 12),
-        lr=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))(test))
-
-
-@flat_learner_draws
-def test_flat_learner_matches_per_layer_reference(**draws):
+@DTYPES
+# a narrow net at an odd batch size
+@example(depth=3, width=7, batch_size=5, capacity_extra=3, pushes=40,
+         sync_every=4, lr=0.02, seed=3)
+# the default network and batch; the ring wraps and the target syncs often
+@example(depth=8, width=64, batch_size=32, capacity_extra=0, pushes=50,
+         sync_every=5, lr=0.001, seed=2)
+@example(depth=2, width=64, batch_size=32, capacity_extra=8, pushes=60,
+         sync_every=3, lr=0.01, seed=1)
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 8), width=st.sampled_from([1, 7, 64]),
+       batch_size=st.integers(1, 40), capacity_extra=st.integers(0, 30),
+       pushes=st.integers(1, 60), sync_every=st.integers(1, 12),
+       lr=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_flat_learner_matches_per_layer_reference(
+        dtype, depth, width, batch_size, capacity_extra, pushes, sync_every,
+        lr, seed):
     """Both learners take the same updates and syncs from two rings fed the
     same pushes and sampled with the same seed.  A gradient an outside
     caller gets from loss_and_grads is held across each update.  Losses,
-    held gradients, Q-values and weights must be bitwise equal where the
-    batch size is position-stable, else agree to 1e-9 relative.  A run that
-    diverges must diverge on the same update in both."""
-    check_flat_learner(np.float64, **draws)
-
-
-@flat_learner_draws
-def test_flat_learner_matches_per_layer_reference_float32(**draws):
-    """As at float64; the two learners run the same sgemm calls on the same
-    rows, so they agree bit for bit at every batch size."""
-    check_flat_learner(np.float32, **draws)
-
-
-def check_flat_learner(dtype, depth, width, batch_size, capacity_extra,
-                       pushes, sync_every, lr, seed):
+    held gradients, Q-values and weights must be bitwise equal at every
+    batch size: the two learners run the same gemm calls on the same rows.
+    A run that diverges must diverge on the same update in both."""
     net = QNetwork(depth, width, np.random.default_rng(seed), dtype)
     ref = reference_dqn.QNetwork(depth, width, np.random.default_rng(seed),
                                  dtype=dtype)
-    assert np.array_equal(net.theta, reference_theta(ref))
+    assert_bitwise(net.theta, reference_theta(ref))
     target, ref_target = net.clone(), ref.clone()
     capacity = batch_size + capacity_extra
     ring = ReplayBuffer(capacity, dtype)
     ref_ring = ReplayBuffer(capacity, dtype)
     rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-    exact = rows_independent_of_position(net, batch_size) \
-        or dtype != np.float64   # the tolerances below are float64's
     source = np.random.default_rng(seed)
     probe = source.normal(size=(batch_size, 6))
     updates = 0
@@ -314,36 +270,29 @@ def check_flat_learner(dtype, depth, width, batch_size, capacity_extra,
             break
         ref_loss = reference_dqn.train_step(ref, ref_target, ref_batch, lr,
                                             0.95)
-        assert_same(loss, ref_loss, exact)
-        assert_same(held[0], ref_held[0], exact)
+        assert_bitwise(loss, ref_loss)
+        assert_bitwise(held[0], ref_held[0])
         for got, want in zip(held[1], ref_held[1]):
-            assert_same(got[0], want[0], exact)
-            assert_same(got[1], want[1], exact)
+            assert_bitwise(got[0], want[0])
+            assert_bitwise(got[1], want[1])
         updates += 1
         if updates % sync_every == 0:
             target.copy_from(net)
             ref_target.copy_from(ref)
-        assert_same(net.activations(probe)[-1], ref.forward_batch(probe), exact)
+        assert_bitwise(net.activations(probe)[-1], ref.forward_batch(probe))
     assert target.version == ref_target.version
-    assert_same(net.theta, reference_theta(ref), exact)
-    assert_same(target.theta, reference_theta(ref_target), exact)
+    assert_bitwise(net.theta, reference_theta(ref))
+    assert_bitwise(target.theta, reference_theta(ref_target))
 
 
-def test_every_row_count_matches_reference_bitwise():
+@DTYPES
+def test_every_row_count_matches_reference_bitwise(dtype):
     """The flat learner's forward pass, loss and gradients equal the
     per-layer reference bit for bit at every row count, not only at
     position-stable ones: both run the same products in the same
     orientation on the same rows.  Computing a layer as W @ A.T into a
     transposed buffer instead of A @ W.T changes the last bits at some row
     counts; depth 0 checks a network without hidden layers."""
-    check_every_row_count(np.float64)
-
-
-def test_every_row_count_matches_reference_bitwise_float32():
-    check_every_row_count(np.float32)
-
-
-def check_every_row_count(dtype):
     rng = np.random.default_rng(19)
     for depth in range(9):
         for width in (1, 7, 16, 64):
