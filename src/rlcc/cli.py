@@ -19,10 +19,11 @@ Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
 analyze reads no configuration (its flags are --runs, --factors, --response and
---out-dir), fits two or three factors with all their interactions, and prints
-each cell's kept and dropped run counts to stderr; when it pools a factor, a
-kept run's cell there must be a declared level, and it refuses a cell that
-keeps unequal run counts at that factor's levels.  grid starts at most one
+--out-dir) and fits two or three factors with all their interactions.  Every
+design factor cell of every run, dropped or pooled too, must read as a declared
+level, which keys the run's cell; analyze prints each cell's kept and dropped
+run counts to stderr and refuses a cell keeping unequal run counts at a pooled
+factor's levels, or a response that overflows the fit.  grid starts at most one
 worker per usable CPU.
 --out-dir is created, and must be writable, before a command starts; CSVs
 are written atomically, and every output is fully determined by
@@ -403,48 +404,44 @@ def cmd_analyze(args) -> int:
     for column in (*factor_names, *pooled, args.response, "diverged"):
         if column not in rows[0]:
             raise CliError(f"column {column!r} missing from {args.runs}")
-    kept, counts = [], {}   # cell (raw factor cells) -> [kept, dropped]
+    # Every run's design factors resolve once to declared levels, which key
+    # its cell (the fitted factors), its pool (the pooled ones) and the fit.
+    counts, kept_at, kept, y = {}, Counter(), [], []
     for i, r in enumerate(rows, 1):
+        where = f"{args.runs} row {i}"
         if r["diverged"] not in ("true", "false"):
-            raise CliError(f"{args.runs} row {i}: diverged: "
-                           f"{r['diverged']!r} is not true or false")
-        cell = tuple(r[name] for name in factor_names)
-        counts.setdefault(cell, [0, 0])[r["diverged"] == "true"] += 1
-        if r["diverged"] == "false":
-            kept.append((i, r))
-
-    def cells(column):
-        return [_parse(f"{args.runs} row {i}: {column}", finite_float,
-                       r[column]) for i, r in kept]
-
-    def coded_cells(factor):
+            raise CliError(f"{where}: diverged: {r['diverged']!r} is not "
+                           "true or false")
         levels = []
-        for (i, _), value in zip(kept, cells(factor)):
+        for name in (*factor_names, *pooled):
+            value = _parse(f"{where}: {name}", finite_float, r[name])
             try:
-                levels.append(stats.code_level(factor, value))
+                levels.append(stats.declared_level(name, value))
             except ValueError as exc:
-                raise CliError(f"{args.runs} row {i}: {factor}: {exc}")
-        return levels
-
-    # the pooled factors' too: the fit pools declared levels only
-    coded = {name: coded_cells(name) for name in (*factor_names, *pooled)}
-    for name in factor_names:
-        if len(set(coded[name])) < 2:
+                raise CliError(f"{where}: {name}: {exc}")
+        cell = tuple(levels[:len(factor_names)])
+        counts.setdefault(cell, [0, 0])[r["diverged"] == "true"] += 1
+        # cell + pool -> kept runs; a dropped run adds 0 but enters its pool
+        kept_at[tuple(levels)] += r["diverged"] == "false"
+        if r["diverged"] == "false":
+            kept.append(cell)
+            y.append(_parse(f"{where}: {args.response}", finite_float,
+                            r[args.response]))
+    for j, name in enumerate(factor_names):
+        if len({cell[j] for cell in kept}) < 2:
             raise CliError(f"factor {name!r} needs at least two levels in the data")
-    y = cells(args.response)
     # Each fitted cell must keep as many runs at every pooled level, or its
     # mean weighs the pooled levels unequally.
-    pools = dict.fromkeys(tuple(r[name] for name in pooled) for r in rows)
-    kept_at = Counter((tuple(r[name] for name in factor_names),
-                       tuple(r[name] for name in pooled)) for _, r in kept)
+    pools = dict.fromkeys(run[len(factor_names):] for run in kept_at)
     for cell in counts:
-        if len({kept_at[cell, pool] for pool in pools}) > 1:
-            raise CliError(f"unbalanced fit: cell {_labels(factor_names, cell)}"
-                           " keeps " + ", ".join(
-                               f"{_labels(pooled, pool)}: {kept_at[cell, pool]}"
-                               for pool in pools))
+        if len({kept_at[cell + pool] for pool in pools}) > 1:
+            raise CliError(
+                f"unbalanced fit: cell {_labels(factor_names, cell)} keeps "
+                + ", ".join(f"{_labels(pooled, pool)}: {kept_at[cell + pool]}"
+                            for pool in pools))
     X, names = stats.make_interaction_design(
-        [coded[n] for n in factor_names], factor_names)
+        [[stats.code_level(name, cell[j]) for cell in kept]
+         for j, name in enumerate(factor_names)], factor_names)
     try:
         table = stats.ols_fit(X, names, y)
     except ValueError as exc:

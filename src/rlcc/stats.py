@@ -44,6 +44,12 @@ def code_level(factor: str, raw) -> float:
     return _CODINGS[factor][raw]
 
 
+def declared_level(factor: str, value):
+    """``factor``'s declared level equal to ``value``: layers' 2 for 2.0."""
+    code_level(factor, value)
+    return next(level for level in _CODINGS[factor] if level == value)
+
+
 def _betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b), 0 <= x <= 1, by the modified
     Lentz continued fraction (Numerical Recipes 6.4); from x = (a + 1) /
@@ -101,8 +107,8 @@ def ols_fit(X: np.ndarray, names: list[str],
 
     Terms other than the first (intercept) also report influence = 2 * beta.
     A residual sum of squares within PERFECT_FIT_RTOL of ||y||^2 is flagged
-    as a perfect fit: SE 0, t and p undefined.  A rank-deficient design
-    raises ValueError naming its first dependent column.
+    as a perfect fit: SE 0, t and p undefined.  ValueError names the first
+    dependent column of a rank-deficient design, or an overflowing ||y||^2/RSS.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -122,19 +128,21 @@ def ols_fit(X: np.ndarray, names: list[str],
                          f"{names[int(np.flatnonzero(tiny)[0])]!r}")
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
-    rss = float(resid @ resid)
+    with np.errstate(over="ignore"):   # an overflow is the ValueError below
+        yy, rss = float(y @ y), float(resid @ resid)
+    if not math.isfinite(yy + rss):
+        raise ValueError(f"response overflows: y @ y = {yy}, RSS = {rss}")
     df = n - p
     r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
 
-    perfect = rss <= PERFECT_FIT_RTOL * max(float(y @ y), 1.0)
+    perfect = rss <= PERFECT_FIT_RTOL * max(yy, 1.0)
     s2 = 0.0 if perfect else rss / df
     rows = []
     for j, name in enumerate(names):
         se = float(np.sqrt(s2 * xtx_inv_diag[j]))
         if perfect or se == 0.0:
-            t_val, p_val = None, None
-            se = 0.0
+            t_val, p_val, se = None, None, 0.0
         else:
             t_val = float(beta[j] / se)
             p_val = student_t_two_sided_p(t_val, df)
@@ -155,15 +163,10 @@ def render_table(rows: list[RegressionRow]) -> str:
               "T-Value", "P-Value"]
 
     def _fmt(value, digits):
-        if value is None:
-            return ""
-        return f"{value:.{digits}f}"
+        return "" if value is None else f"{value:.{digits}f}"
 
-    body = [[row.term,
-             _fmt(row.influence, 1),
-             _fmt(row.coefficient, 1),
-             _fmt(row.std_error, 1),
-             _fmt(row.t_value, 2),
+    body = [[row.term, _fmt(row.influence, 1), _fmt(row.coefficient, 1),
+             _fmt(row.std_error, 1), _fmt(row.t_value, 2),
              _fmt(row.p_value, 3)] for row in rows]
     widths = [max(len(header[i]), *(len(r[i]) for r in body))
               for i in range(len(header))]

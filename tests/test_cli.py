@@ -55,9 +55,9 @@ def write_runs_csv(path, edit=None):
         csv.writer(fh).writerows(table)
 
 
-def set_cell(column, value):
+def set_cell(column, value, row=3):
     def edit(table):
-        table[3][RUNS_HEADER.index(column)] = value
+        table[row][RUNS_HEADER.index(column)] = value
     return edit
 
 
@@ -78,6 +78,8 @@ MALFORMED_RUNS = {
     "empty response": set_cell("avg_throughput_Bps", ""),
     "nan response": set_cell("avg_throughput_Bps", "nan"),
     "inf response": set_cell("avg_throughput_Bps", "-inf"),
+    # finite, but its sum of squares is not
+    "overflowing response": set_cell("avg_throughput_Bps", "1e300"),
     "unknown diverged flag": set_cell("diverged", "yes"),
     "no diverged column": drop_column("diverged"),
     # the pooled factor of the default --factors error_rate,layers
@@ -322,7 +324,9 @@ SHORT = {"simulate": ("--duration-ms", "1000"), "train": (), "baseline": (),
 @example(command="grid", overrides=[("sim.segment_bytes", str(2 ** 63 - 1))])
 def test_exit_code_is_in_the_contract(command, overrides):
     """Every command, under any 1-3 overrides of edge values, returns 0, 2,
-    3 or 4 with nothing escaping run(), and an exit 2 writes no file."""
+    3 or 4 with nothing escaping run().  An exit 2 writes no file and ends
+    stderr with its one error line; exits 0, 3 and 4 write the command's
+    CSVs, each headed by its schema's columns."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -331,21 +335,39 @@ def test_exit_code_is_in_the_contract(command, overrides):
     for key, value in overrides:
         argv += ["--override", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as out_dir, np.errstate(all="ignore"), \
-            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()) as err:
         code = run_cli(*argv, "--out-dir", out_dir)
-        written = os.listdir(out_dir)
+        headers = {name: read_csv(os.path.join(out_dir, name))[0]
+                   for name in os.listdir(out_dir)}
     assert code in (0, 2, 3, 4)
     if code == 2:
-        assert written == []
+        assert headers == {}
+        *before, last = err.getvalue().splitlines()
+        assert last.startswith("error:")
+        assert all(line.startswith("warning:") for line in before)
+    else:
+        assert headers == ({"steps.csv": STEPS_HEADER} if command == "simulate"
+                           else {"runs.csv": RUNS_HEADER,
+                                 "steps.csv": STEPS_HEADER})
+
+
+#: write_runs_csv's cells, in its row order, as analyze labels them
+RUNS_CSV_CELLS = [f"cell error_rate={error_rate} layers={layers}"
+                  for layers in (2, 4, 8) for error_rate in (0.0, 0.2)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(row=st.integers(1, 12), column=st.sampled_from(RUNS_HEADER),
        value=st.sampled_from([*EDGE_VALUES, ""]))
+# another spelling of a declared level, and a response that overflows
+@example(row=1, column="error_rate", value="-0.0")
+@example(row=1, column="avg_throughput_Bps", value="1e300")
 def test_analyze_exit_code_is_in_the_contract(row, column, value):
     """analyze on a runs.csv with any one cell set to an edge value returns
     0 or 2 with nothing escaping run().  An exit 2 prints one error line and
-    writes no regression.csv; an exit 0 writes one headed REGRESSION_HEADER."""
+    writes no regression.csv; an exit 0 writes one headed REGRESSION_HEADER
+    with every standard error positive, and labels the file's six cells."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -360,15 +382,19 @@ def test_analyze_exit_code_is_in_the_contract(row, column, value):
         write_runs_csv(runs, edit)
         code = run_cli("analyze", "--runs", runs, "--out-dir", out_dir)
         regression = os.path.join(out_dir, "regression.csv")
-        header = read_csv(regression)[0] if os.path.exists(regression) \
-            else None
+        table = read_csv(regression) if os.path.exists(regression) else None
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
-        assert header is None
+        assert table is None
     else:
+        header, *rows = table
         assert header == REGRESSION_HEADER
+        std_error = header.index("std_error")
+        assert all(float(r[std_error]) > 0 for r in rows)
+        assert [line.split(":")[0] for line in err.getvalue().splitlines()] \
+            == RUNS_CSV_CELLS
 
 
 class TestOutDir:
@@ -1065,6 +1091,43 @@ class TestAnalyze:
                        "--out-dir", str(out_dir)) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {runs} row 13: learning_rate: {message}"]
+        assert not (out_dir / "regression.csv").exists()
+
+    @pytest.mark.parametrize("column, value", [
+        ("error_rate", "-0.0"), ("error_rate", "0.00"), ("layers", "2.0")])
+    def test_other_spellings_join_the_declared_cell(self, tmp_path, capsys,
+                                                    column, value):
+        # row 1 runs at layers 2 and error_rate 0.0
+        outputs = {}
+        for name, edit in (("declared", None),
+                           ("respelled", set_cell(column, value, row=1))):
+            runs = tmp_path / f"{name}.csv"
+            write_runs_csv(runs, edit)
+            assert run_cli("analyze", "--runs", str(runs),
+                           "--out-dir", str(tmp_path / name)) == 0
+            outputs[name] = ((tmp_path / name / "regression.csv").read_bytes(),
+                             capsys.readouterr())
+        assert outputs["respelled"] == outputs["declared"]
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("layers", "banana", "'banana' is not a finite number"),
+        ("layers", "3", "3.0 is not a declared level of 'layers'"),
+        ("learning_rate", "banana", "'banana' is not a finite number"),
+        ("learning_rate", "0.5",
+         "0.5 is not a declared level of 'learning_rate'")])
+    def test_dropped_runs_cells_are_declared_levels(self, tmp_path, capsys,
+                                                    column, value, message):
+        # a diverged run's fitted (layers) or pooled (learning_rate) cell
+        def edit(table):
+            set_cell(column, value)(table)
+            set_cell("diverged", "true")(table)
+        runs = tmp_path / "runs.csv"
+        write_runs_csv(runs, edit)
+        out_dir = tmp_path / "out"
+        assert run_cli("analyze", "--runs", str(runs),
+                       "--out-dir", str(out_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {runs} row 3: {column}: {message}"]
         assert not (out_dir / "regression.csv").exists()
 
     @pytest.mark.parametrize("edit", MALFORMED_RUNS.values(),

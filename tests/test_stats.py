@@ -76,6 +76,20 @@ class TestCoding:
                            match="3 is not a declared level of 'layers'"):
             code_level("layers", 3)
 
+    @pytest.mark.parametrize("factor,value,level", [
+        ("layers", 2.0, 2), ("error_rate", -0.0, 0.0),
+        ("learning_rate", 0.001, 0.001)])
+    def test_declared_level_is_the_declared_one(self, factor, value, level):
+        found = stats.declared_level(factor, value)
+        assert (type(found), repr(found)) == (type(level), repr(level))
+
+    def test_declared_level_refuses_what_code_level_does(self):
+        with pytest.raises(ValueError,
+                           match="^3.0 is not a declared level of 'layers'$"):
+            stats.declared_level("layers", 3.0)
+        with pytest.raises(ValueError, match="unknown factor 'dropout'"):
+            stats.declared_level("dropout", 0.5)
+
 
 class TestStudentT:
     @pytest.mark.parametrize("t,df", [
@@ -250,6 +264,18 @@ class TestOlsFit:
             assert row.p_value is None
         assert rows[0].coefficient == pytest.approx(2.0)
         assert rows[1].coefficient == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("big", [1e300, -1e300, 1.7e308])
+    def test_overflowing_response_raises(self, big):
+        # ||y||^2 and the residual sum of squares overflow to inf; that is
+        # no perfect fit
+        X, names = self.full_factorial(reps=2)
+        y = np.arange(float(X.shape[0]))
+        y[3] = big
+        with np.errstate(all="raise"):   # no numpy warning on the way
+            with pytest.raises(ValueError, match="^response overflows: "
+                               "y @ y = inf, RSS = inf$"):
+                ols_fit(X, names, y)
 
     def test_singular_design_names_column(self):
         a = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
