@@ -12,9 +12,10 @@ Configuration is a flat key=value file with dotted namespaces
 (sim.segment_bytes=1000, dqn.gamma=0.95, '#' comments allowed).  --override
 flags win over file values, and the train/baseline shorthands --layers, --lr
 and --error-rate win over both.  Unknown keys, non-finite numbers, integers
-outside int64, a negative --base-seed or --seed and runs past the MAX_STEPS /
+outside int64, a negative --base-seed or --seed, runs past the MAX_STEPS /
 MAX_SIM_MS budget (or, for train and grid, past 4 * MAX_STEPS learner
-updates) are rejected.
+updates) and a grid whose --reps * env.episode_length passes MAX_STEPS, its
+budget per cell, are rejected.
 Keys that a command validates but does not read (simulate: dqn.* and
 env.episode_length; baseline: dqn.* but for the two factor keys) are named in
 one stderr warning line, and the command runs as without them.
@@ -48,7 +49,7 @@ from dataclasses import astuple, fields, is_dataclass, replace
 
 from .netsim import SimConfig, Simulator
 from .schema import (REGRESSION_HEADER, RUNS_HEADER, STEPS_HEADER, DqnConfig,
-                     EnvConfig, RunRecord, Step)
+                     EnvConfig, FactorLevels, RunRecord, Step)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -361,9 +362,12 @@ def cmd_grid(args) -> int:
     _, env_cfg, dqn_cfg = build_configs(settings)
     check_budget(env_cfg.episode_length, env_cfg.decision_interval_ms,
                  dqn_cfg.train_updates_per_step)
+    if args.reps * env_cfg.episode_length > MAX_STEPS:
+        raise CliError(f"--reps * env.episode_length = {args.reps} * "
+                       f"{env_cfg.episode_length} exceeds {MAX_STEPS} steps")
     from . import experiments
     specs = experiments.enumerate_runs(
-        experiments.FactorLevels(), reps=args.reps, base_seed=args.base_seed)
+        FactorLevels(), reps=args.reps, base_seed=args.base_seed)
     records = run_specs(specs, env_cfg, dqn_cfg, args.out_dir,
                         jobs=args.jobs)
     diverged = sum(r.diverged for r in records)
@@ -385,9 +389,8 @@ def _labels(names, values) -> str:
 
 
 def cmd_analyze(args) -> int:
-    from . import experiments, stats
     factor_names = [f.strip() for f in args.factors.split(",")]
-    design = [f.name for f in fields(experiments.FactorLevels)]
+    design = [f.name for f in fields(FactorLevels)]
     most = len(design)
     if not 2 <= len(factor_names) <= most:
         raise CliError(f"--factors expects 2 to {most} comma-separated names")
@@ -404,6 +407,7 @@ def cmd_analyze(args) -> int:
     for column in (*factor_names, *pooled, args.response, "diverged"):
         if column not in rows[0]:
             raise CliError(f"column {column!r} missing from {args.runs}")
+    from . import stats
     # Every run's design factors resolve once to declared levels, which key
     # its cell (the fitted factors), its pool (the pooled ones) and the fit.
     counts, kept_at, kept, y = {}, Counter(), [], []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import product
 from statistics import mean
 
@@ -22,16 +22,8 @@ import numpy as np
 
 from .dqn import OUTPUT_DIM, DqnAgent, TrainingDivergedError
 from .env import Env, normalize
-from .schema import (ALLOWED_HIDDEN_COUNTS, DqnConfig, EnvConfig, RunRecord,
-                     RunSpec, Step)
-
-
-@dataclass(frozen=True)
-class FactorLevels:
-    """The paper's fixed levels; the depths are the ones DqnConfig allows."""
-    layers: tuple = field(default=ALLOWED_HIDDEN_COUNTS, init=False)
-    learning_rate: tuple = field(default=(0.01, 0.001), init=False)
-    error_rate: tuple = field(default=(0.0, 0.2), init=False)
+from .schema import (DqnConfig, EnvConfig, FactorLevels, RunRecord, RunSpec,
+                     Step)
 
 
 #: Plateau detector: moving-average window (steps) and band half-width
@@ -122,31 +114,33 @@ def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
     trace: list[Step] = []
     diverged = False
 
-    for _ in range(env_cfg.episode_length):
-        if agent is None:
-            action = int(baseline_rng.integers(OUTPUT_DIM))
-            epsilon = None
-        else:
-            action = agent.select_action(state)
-            epsilon = agent.last_epsilon
-        result = env.step(action)
-        next_state = normalize(result.observation)
-        loss = None
-        if agent is not None:
-            agent.buffer.push(state, action, result.reward, next_state,
-                              result.done)
-            try:
-                for _ in range(dqn_cfg.train_updates_per_step):
-                    loss = agent.learn()
-            except TrainingDivergedError:
-                diverged = True
-        state = next_state
-        obs = result.observation
-        trace.append(Step(spec.run_id, result.step_index, obs.cwnd_segments,
-                          obs.throughput_Bps, obs.avg_rtt_ms, result.reward,
-                          epsilon, loss))
-        if diverged:
-            break
+    # the loss and theta checks flag a diverging learner's overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(env_cfg.episode_length):
+            if agent is None:
+                action = int(baseline_rng.integers(OUTPUT_DIM))
+                epsilon = None
+            else:
+                action = agent.select_action(state)
+                epsilon = agent.last_epsilon
+            result = env.step(action)
+            next_state = normalize(result.observation)
+            loss = None
+            if agent is not None:
+                agent.buffer.push(state, action, result.reward, next_state,
+                                  result.done)
+                try:
+                    for _ in range(dqn_cfg.train_updates_per_step):
+                        loss = agent.learn()
+                except TrainingDivergedError:
+                    diverged = True
+            state = next_state
+            obs = result.observation
+            trace.append(Step(spec.run_id, result.step_index,
+                              obs.cwnd_segments, obs.throughput_Bps,
+                              obs.avg_rtt_ms, result.reward, epsilon, loss))
+            if diverged:
+                break
     # train_step checks the loss, which precedes its update, so an update
     # that overflows theta on the last step is caught here.
     if agent is not None and not np.isfinite(agent.net.theta).all():

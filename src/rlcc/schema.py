@@ -1,11 +1,11 @@
-"""The numpy-free configs and row types the command line needs at import
-time, each CSV's column list beside its row type.  With only this and
+"""The numpy-free configs, design and row types the command line needs at
+import time, each CSV's column list beside its row type.  With only this and
 ``netsim`` loaded, config resolution, input errors and ``rlcc simulate``
 start without numpy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .netsim import SimConfig
@@ -68,6 +68,14 @@ class DqnConfig:
             raise ValueError("target_sync_every must be >= 1")
         if self.train_updates_per_step < 1:
             raise ValueError("train_updates_per_step must be >= 1")
+
+
+@dataclass(frozen=True)
+class FactorLevels:
+    """The paper's fixed levels; the depths are the ones DqnConfig allows."""
+    layers: tuple = field(default=ALLOWED_HIDDEN_COUNTS, init=False)
+    learning_rate: tuple = field(default=(0.01, 0.001), init=False)
+    error_rate: tuple = field(default=(0.0, 0.2), init=False)
 
 
 @dataclass(frozen=True)

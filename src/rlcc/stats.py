@@ -17,8 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .experiments import FactorLevels
-from .schema import RegressionRow
+from .schema import FactorLevels, RegressionRow
 
 #: A residual sum of squares at most this fraction of ||y||^2 (or of 1) is
 #: a perfect fit.

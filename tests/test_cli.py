@@ -202,6 +202,10 @@ class TestInvalidInput:
         ("grid", "--jobs", "-3", "--reps", "1"),
         ("grid", "--reps", "0"),
         ("grid", "--reps", "-1"),
+        # a cell past MAX_STEPS steps: 501 * 200, then one that would run
+        # until it is killed
+        ("grid", "--reps", "501", "--jobs", "1"),
+        ("grid", "--reps", str(2 ** 63 - 1), "--jobs", "1"),
         ("simulate", "--base-seed", "-1"),
         ("train", "--base-seed", "-1"),
         ("baseline", "--base-seed", "-1"),
@@ -289,6 +293,18 @@ class TestInvalidInput:
             "1 * 400001 exceeds the budget of 400000 updates\n")
         assert os.listdir(tmp_path / "past") == []
 
+    def test_grid_cell_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STEPS", 80)
+        argv = ("grid", *FAST, "--jobs", "1")   # 40 steps a run
+        assert run_cli(*argv, "--reps", "2",
+                       "--out-dir", str(tmp_path / "at")) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--reps", "3",
+                       "--out-dir", str(tmp_path / "past")) == 2
+        assert capsys.readouterr().err == (
+            "error: --reps * env.episode_length = 3 * 40 exceeds 80 steps\n")
+        assert os.listdir(tmp_path / "past") == []
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"sim.rto_ms=\xff\n")
@@ -306,46 +322,69 @@ class TestInvalidInput:
         assert os.listdir(tmp_path) == []
 
 
-# values at the edges of what a config key reads, and text that is no number
+# values at the edges of what a config key or flag reads, and text that is
+# no number
 EDGE_VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1", "0.5", "1e300",
                "5e-324", "-1", str(2 ** 63 - 1), "abc"]
 # each command's flags for a short run, before FAST
 SHORT = {"simulate": ("--duration-ms", "1000"), "train": (), "baseline": (),
          "grid": ("--reps", "1", "--jobs", "1")}
+# the flags each command reads a value from, drawn after SHORT's
+FLAGS = {"simulate": ("--cwnd", "--duration-ms", "--base-seed"),
+         "train": ("--layers", "--lr", "--error-rate", "--seed",
+                   "--base-seed"),
+         "baseline": ("--error-rate", "--seed", "--base-seed"),
+         "grid": ("--reps", "--base-seed")}
+
+
+def edge_edits(names, most):
+    return st.lists(st.tuples(st.sampled_from(names),
+                              st.sampled_from(EDGE_VALUES)), max_size=most)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(sorted(SHORT)),
-       overrides=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)),
-                                    st.sampled_from(EDGE_VALUES)),
-                          min_size=1, max_size=3))
+@given(case=st.one_of([st.tuples(st.just(command), edge_edits(flags, 2))
+                       for command, flags in FLAGS.items()]),
+       overrides=edge_edits(sorted(CONFIG_KEYS), 3))
 # few drawn runs get past the checks; these two diverge (exits 3 and 4)
-@example(command="train", overrides=[("dqn.learning_rate", "1e300")])
-@example(command="grid", overrides=[("sim.segment_bytes", str(2 ** 63 - 1))])
-def test_exit_code_is_in_the_contract(command, overrides):
-    """Every command, under any 1-3 overrides of edge values, returns 0, 2,
-    3 or 4 with nothing escaping run().  An exit 2 writes no file and ends
-    stderr with its one error line; exits 0, 3 and 4 write the command's
-    CSVs, each headed by its schema's columns."""
+@example(case=("train", []), overrides=[("dqn.learning_rate", "1e300")])
+@example(case=("grid", []), overrides=[("sim.segment_bytes", str(2 ** 63 - 1))])
+# a grid past its budget, which would run until it is killed
+@example(case=("grid", [("--reps", str(2 ** 63 - 1))]), overrides=[])
+def test_exit_code_is_in_the_contract(case, overrides):
+    """Every command, under any 0-2 of its flags and 0-3 overrides set to
+    edge values, returns 0, 2, 3 or 4 with nothing escaping run() and no
+    numpy warning.  An exit 2 writes no file and ends stderr with its one
+    error line, or argparse's usage and error; exits 0, 3 and 4 write the
+    command's CSVs, each headed by its schema's columns."""
     import io
+    import warnings
     from contextlib import redirect_stderr, redirect_stdout
 
-    import numpy as np
+    command, flags = case
     argv = [command, *SHORT[command], *FAST]
+    for flag, value in flags:
+        argv += [flag, value]
     for key, value in overrides:
         argv += ["--override", f"{key}={value}"]
-    with tempfile.TemporaryDirectory() as out_dir, np.errstate(all="ignore"), \
+    with tempfile.TemporaryDirectory() as out_dir, \
+            warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(io.StringIO()), \
             redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
         code = run_cli(*argv, "--out-dir", out_dir)
         headers = {name: read_csv(os.path.join(out_dir, name))[0]
                    for name in os.listdir(out_dir)}
     assert code in (0, 2, 3, 4)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code == 2:
         assert headers == {}
         *before, last = err.getvalue().splitlines()
-        assert last.startswith("error:")
-        assert all(line.startswith("warning:") for line in before)
+        if before and before[0].startswith("usage:"):
+            assert last.startswith(f"rlcc {command}: error:")
+        else:
+            assert last.startswith("error:")
+            assert all(line.startswith("warning:") for line in before)
     else:
         assert headers == ({"steps.csv": STEPS_HEADER} if command == "simulate"
                            else {"runs.csv": RUNS_HEADER,
@@ -1140,48 +1179,42 @@ class TestAnalyze:
         assert not (out_dir / "regression.csv").exists()
 
 
-def test_importing_cli_leaves_scipy_unloaded(tmp_path):
-    # p-values are computed in rlcc.stats, so no command loads scipy, not
-    # even analyze, the one that used to
+#: modules a fresh command may load only where it needs them
+WATCHED = ("numpy", "concurrent.futures", "scipy", "rlcc.experiments",
+           "rlcc.dqn", "rlcc.env")
+LEARNER = ["numpy", "rlcc.experiments", "rlcc.dqn", "rlcc.env"]
+
+
+@pytest.mark.parametrize("body, loaded", [
+    ("assert rlcc.cli.run(['simulate', '--duration-ms', '500', "
+     "'--out-dir', out]) == 0", []),
+    ("assert rlcc.cli.run(['train', '--override', 'x.y=1', "
+     "'--out-dir', out]) == 2", []),
+    # the set-up steps the bench times as setup_s
+    ("from rlcc.netsim import Simulator\n"
+     "sim_cfg, env_cfg, dqn_cfg = rlcc.cli.build_configs({})\n"
+     "Simulator(sim_cfg)", []),
+    ("assert rlcc.cli.run(['train', '--override', 'env.episode_length=40', "
+     "'--out-dir', out]) == 0", LEARNER),
+    ("assert rlcc.cli.run(['analyze', '--factors', 'error_rate,rep', "
+     "'--runs', out + '/runs.csv', '--out-dir', out]) == 2", []),
+    # p-values are computed in rlcc.stats, so not even analyze loads scipy
+    ("assert rlcc.cli.run(['analyze', '--runs', out + '/runs.csv', "
+     "'--out-dir', out]) == 0\n"
+     "assert os.path.exists(out + '/regression.csv')", ["numpy"]),
+], ids=["simulate", "config error", "set-up", "train", "factors error",
+        "analyze"])
+def test_startup_leaves_numpy_and_the_pool_unloaded(tmp_path, body, loaded):
+    # only the commands that run the agent or fit a regression import
+    # numpy, only the ones that run the agent import the learner, only a
+    # pool of workers imports concurrent.futures, and none imports scipy
     write_runs_csv(tmp_path / "runs.csv")
     src = os.path.dirname(os.path.dirname(rlcc.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rlcc.cli; code = rlcc.cli.run(['analyze', '--runs', "
-         "sys.argv[1], '--out-dir', sys.argv[2]]); "
-         "print(code, 'scipy' in sys.modules)",
-         str(tmp_path / "runs.csv"), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False"
-    assert (tmp_path / "regression.csv").exists()
-
-
-@pytest.mark.parametrize("body, loads_numpy", [
-    ("assert rlcc.cli.run(['simulate', '--duration-ms', '500', "
-     "'--out-dir', out]) == 0", False),
-    ("assert rlcc.cli.run(['train', '--override', 'x.y=1', "
-     "'--out-dir', out]) == 2", False),
-    # the set-up steps the bench times as setup_s
-    ("from rlcc.netsim import Simulator\n"
-     "sim_cfg, env_cfg, dqn_cfg = rlcc.cli.build_configs({})\n"
-     "Simulator(sim_cfg)", False),
-    ("assert rlcc.cli.run(['train', '--override', 'env.episode_length=40', "
-     "'--out-dir', out]) == 0", True),
-], ids=["simulate", "config error", "set-up", "train"])
-def test_startup_leaves_numpy_and_the_pool_unloaded(tmp_path, body,
-                                                    loads_numpy):
-    # only the commands that run the agent or fit a regression import
-    # numpy, and only a pool of workers imports concurrent.futures
-    src = os.path.dirname(os.path.dirname(rlcc.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, rlcc.cli\nout = sys.argv[1]\n{body}\n"
-         "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)",
+         f"import os, sys, rlcc.cli\nout = sys.argv[1]\n{body}\n"
+         f"print(*[m for m in {WATCHED!r} if m in sys.modules])",
          str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True)
-    numpy_loaded, pool_loaded = proc.stdout.splitlines()[-1].split()
-    assert numpy_loaded == str(loads_numpy)
-    if not loads_numpy:
-        assert pool_loaded == "False"
+    assert proc.stdout.splitlines()[-1].split() == loaded

@@ -18,9 +18,9 @@ position, the per-batch update at its sampled position; the two agree only
 where BLAS gives a row the same bits at every position of a call of that
 size.  At width 64 the dgemm and the sgemm OpenBLAS runs do so for 1-4 rows
 and the multiples of 4 up to 40, the default 32 included; at other sizes
-they compute the last rows with a narrower kernel.  So the float64
-cached-maxima test, which draws every batch size 1-32, holds losses and
-weights to 1e-9 relative at the other sizes, and the float32 one draws only
+they compute the last rows with a narrower kernel.  So the cached-maxima
+test at float64, which draws every batch size 1-32, holds losses and
+weights to 1e-9 relative at the other sizes, and at float32 draws only
 these sizes.  A row in a k-row call also gets the bits of a 32-row call for
 the same k, 20, 24, 28 and 32.  This was measured on the SkylakeX core
 OpenBLAS 0.3.31 picked at run time; the "Haswell" numpy's show_config
@@ -110,15 +110,23 @@ def cached_maxima_draws(batch_sizes):
     return draws
 
 
-@cached_maxima_draws(st.integers(1, 32))
-def test_cached_maxima_match_per_batch_evaluation(**draws):
-    check_cached_maxima(Float64Agent, Float64ReferenceAgent, **draws)
+#: dtype -> the agent, its per-batch reference and the batch sizes drawn;
+#: at float32 only those at which sgemm gives each row the same bits anywhere
+CACHED_MAXIMA_CASES = {
+    "float64": (Float64Agent, Float64ReferenceAgent, st.integers(1, 32)),
+    "float32": (DqnAgent, ReferenceAgent,
+                st.sampled_from([1, 2, 3, 4, 8, 12, 16, 20, 24, 28, 32])),
+}
 
 
-# the batch sizes at which sgemm gives each row the same bits anywhere
-@cached_maxima_draws(st.sampled_from([1, 2, 3, 4, 8, 12, 16, 20, 24, 28, 32]))
-def test_cached_maxima_match_per_batch_evaluation_float32(**draws):
-    check_cached_maxima(DqnAgent, ReferenceAgent, **draws)
+@DTYPES
+def test_cached_maxima_match_per_batch_evaluation(dtype):
+    agent_cls, reference_cls, batch_sizes = CACHED_MAXIMA_CASES[dtype]
+
+    @cached_maxima_draws(batch_sizes)
+    def check(**draws):
+        check_cached_maxima(agent_cls, reference_cls, **draws)
+    check()
 
 
 def check_cached_maxima(agent_cls, reference_cls, depth, batch_size,

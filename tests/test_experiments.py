@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rlcc import schema
 from rlcc.dqn import DqnAgent
 from rlcc.experiments import (FactorLevels, convergence_step, derive_seed,
                               enumerate_runs, execute_run)
@@ -86,6 +87,10 @@ class TestEnumerateRuns:
 
     def test_depths_are_the_allowed_hidden_counts(self):
         assert FactorLevels().layers is ALLOWED_HIDDEN_COUNTS
+
+    def test_declared_once_in_schema(self):
+        # the analysis half reads the design from schema, without the learner
+        assert FactorLevels is schema.FactorLevels
 
 
 class TestConvergenceStep:

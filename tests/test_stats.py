@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlcc import stats
-from rlcc.experiments import FactorLevels
-from rlcc.schema import RegressionRow
+from rlcc.schema import FactorLevels, RegressionRow
 from rlcc.stats import (code_level, make_interaction_design, ols_fit,
                         render_table, student_t_two_sided_p)
 
