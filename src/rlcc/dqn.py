@@ -14,9 +14,10 @@ a network or ring built on its own is float64 unless given a dtype.
 Every product is an np.dot with the row-major activations or deltas on the
 left: the one orientation measured bit-equal at every row count.
 
-The target network is frozen between syncs and a stored next state never
-changes, so the replay ring keeps each row's next-state target maximum and
-evaluates a row again only after a push over it or a sync.
+The target network is frozen between syncs and a stored row never changes,
+so the replay ring keeps each row's TD target and evaluates a row again only
+after a push over it, a sync or a new gamma.  The agent runs its Q-forward
+only on the steps its epsilon coin exploits.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class Transition(NamedTuple):
 class Batch(NamedTuple):
     """Transitions as row arrays, one row each: a sampled batch, or the
     replay ring's storage.  A batch sampled from a ring also names the ring
-    and the drawn row indices, so td_targets can read the rows' target
-    maxima from the ring; it reads the rows as they are then, so train on
+    and the drawn row indices, so td_targets can read the rows' TD targets
+    from the ring; it reads the rows as they are then, so train on
     a sampled batch before the next push."""
     states: np.ndarray        # [n, INPUT_DIM] float (a ring's dtype)
     actions: np.ndarray       # [n] int64
@@ -90,12 +91,13 @@ class QNetwork:
     count (a run uses 1 and the batch size): the list `activations` returns
     is valid only until the next call on this network at that row count.
     Its hidden outputs are views of one block, so one call takes every ReLU
-    mask.  theta is only written in place, so cached views of it stay valid.
+    mask, held as 0/1 in the network's dtype.  theta is only written in
+    place, so cached views of it stay valid.
 
     Any hidden depth is accepted here; the {2, 4, 8} restriction is a
     DqnConfig concern.  `version` counts copy_from calls: a replay ring's
-    target maxima are keyed on it, so a target network's weights change
-    only through copy_from.
+    TD targets are keyed on it, so a target network's weights change only
+    through copy_from.
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
@@ -109,6 +111,7 @@ class QNetwork:
         if size * self.dtype.itemsize > np.iinfo(np.intp).max:
             raise MemoryError(f"network of {size} parameters")
         self.theta = np.zeros(size, self.dtype)
+        self._zero = np.zeros((), self.dtype)   # ReLU's floor, cast once
         self.grad = np.empty_like(self.theta)
         self.layers = self._views(self.theta)
         self._forward_layers = [(w.T, b) for w, b in self.layers]
@@ -166,7 +169,7 @@ class QNetwork:
                 acts=[None, *hidden, np.empty((n, OUTPUT_DIM), self.dtype)],
                 hidden=hidden,   # acts[1:-1] are views of this block
                 deltas=[np.empty((n, k), self.dtype) for k in self.sizes[1:]],
-                masks=np.empty(hidden.shape, dtype=bool),
+                masks=np.empty(hidden.shape, self.dtype),
                 row_starts=np.arange(n) * OUTPUT_DIM,   # flat index of Q[i, 0]
                 taken=np.empty(n, dtype=np.int64))
         acts = self._work[n]["acts"]
@@ -176,7 +179,7 @@ class QNetwork:
             a = np.dot(a, w_t, out=acts[i + 1])
             a += b
             if i < last:
-                np.maximum(a, 0.0, out=a)
+                np.maximum(a, self._zero, out=a)
         return acts
 
     def copy_from(self, other: "QNetwork") -> None:
@@ -189,38 +192,22 @@ class QNetwork:
         return QNetwork.from_layers(self.layers, self.dtype)
 
 
-def act_epsilon_greedy(q: np.ndarray, epsilon: float,
-                       rng: np.random.Generator) -> int:
-    """Uniform random action with probability epsilon, else lowest-index
-    argmax."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(len(q)))
-    return int(np.argmax(q))
-
-
 def epsilon_at(cfg: DqnConfig, step: int) -> float:
     return max(cfg.epsilon_min, cfg.epsilon_start * cfg.epsilon_decay ** step)
-
-
-def next_state_maxima(target_net: QNetwork,
-                      next_states: np.ndarray) -> np.ndarray:
-    """max_a' Q_target(s', a') per row, from one forward call."""
-    return target_net.activations(next_states)[-1].max(axis=1)
 
 
 def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
                gamma: float) -> np.ndarray:
     """Bellman backups: r, or r + gamma * max_a' Q_target(s', a').
 
-    A batch sampled from a ReplayBuffer reads its maxima from the ring's
+    A batch sampled from a ReplayBuffer reads its targets from the ring's
     per-row column, evaluating the ring's stale rows first; any other batch
     is evaluated in one call on its own rows.
     """
     batch = as_batch(batch)
-    if batch.ring is None:
-        next_max = next_state_maxima(target_net, batch.next_states)
-    else:
-        next_max = batch.ring.target_maxima(target_net, batch.rows)
+    if batch.ring is not None:
+        return batch.ring.td_targets(target_net, gamma, batch.rows)
+    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
     return batch.rewards + gamma * next_max * ~batch.done
 
 
@@ -252,7 +239,7 @@ def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     d_out = work["deltas"][-1]
     d_out.fill(0.0)
     np.put(d_out, taken, err)
-    masks = np.greater(work["hidden"], 0.0, out=work["masks"])
+    masks = np.greater(work["hidden"], net._zero, out=work["masks"])
     for i in range(len(net.layers) - 1, -1, -1):
         dw, db = grads[i]
         np.dot(d_out.T, acts[i], out=dw)
@@ -284,10 +271,10 @@ class ReplayBuffer:
     writes row k % capacity, so the oldest transition is the one
     overwritten.
 
-    Each row also has a cached next-state target maximum and a mark saying
-    whether it is fresh.  A push marks its row stale; a change of target
-    network, of its version (a sync) or of the batch size marks every row
-    stale.
+    Each row also has a cached TD target, r + gamma * max_a' Q_target(s',
+    a') * (not done), and a mark saying whether it is fresh.  A push marks
+    its row stale; a change of target network, of its version (a sync), of
+    the batch size or of gamma marks every row stale.
     """
 
     def __init__(self, capacity: int, dtype=np.float64):
@@ -304,9 +291,9 @@ class ReplayBuffer:
                            np.empty((capacity, INPUT_DIM), self.dtype),
                            np.empty(capacity, dtype=bool))
         self._pushed = 0
-        self._next_max = np.empty(capacity, self.dtype)
+        self._targets = np.empty(capacity, self.dtype)
         self._fresh = np.zeros(capacity, dtype=bool)
-        self._maxima_key = None   # (target net, its version, chunk rows)
+        self._targets_key = None   # (target net, its version, chunk, gamma)
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
@@ -341,39 +328,42 @@ class ReplayBuffer:
                      rows.rewards.take(idx, 0), rows.next_states.take(idx, 0),
                      rows.done.take(idx, 0), self, idx)
 
-    def target_maxima(self, target_net: QNetwork,
-                      idx: np.ndarray) -> np.ndarray:
-        """Next-state target maxima of rows idx, read from the column.
+    def td_targets(self, target_net: QNetwork, gamma: float,
+                   idx: np.ndarray) -> np.ndarray:
+        """TD targets of rows idx, read from the column.
 
         When a drawn row is stale, every stale row is evaluated first, so
-        rows pushed since the last evaluation share its calls.  Each call
-        has exactly len(idx) rows, the last one zero-padded, because a BLAS
-        gemm row's bits can depend on the call's row count: on the sgemm and
-        the dgemm OpenBLAS ran at width 64 (runtime core SkylakeX; Haswell
-        is only the build target numpy reports), a row in a k-row call
-        matched the same row in a 32-row call only for k = 20, 24, 28 and
-        32, so less padding would change training's last bits.  Where a
-        row's bits do not also depend on its position in the call (there,
-        at both precisions: 1-4 rows or a multiple of 4, measured up to 40,
-        the default 32 included), each maximum equals the one a sampled
-        batch evaluates itself; at other sizes the two may differ in their
-        last bits.
+        rows pushed since the last evaluation share its calls; a target is
+        td_targets' elementwise expression on the row's maximum, so it has
+        the same bits.  Each call has exactly len(idx) rows, the last one
+        zero-padded, because a BLAS gemm row's bits can depend on the call's
+        row count: on the sgemm and the dgemm OpenBLAS ran at width 64
+        (runtime core SkylakeX; Haswell is only the build target numpy
+        reports), a row in a k-row call matched the same row in a 32-row
+        call only for k = 20, 24, 28 and 32, so less padding would change
+        training's last bits.  Where a row's bits do not also depend on its
+        position in the call (there, at both precisions: 1-4 rows or a
+        multiple of 4, measured up to 40, the default 32 included), each
+        target equals the one a sampled batch evaluates itself; at other
+        sizes the two may differ in their last bits.
         """
         chunk = len(idx)
-        key = (target_net, target_net.version, chunk)
-        if key != self._maxima_key:
+        key = (target_net, target_net.version, chunk, gamma)
+        if key != self._targets_key:
             self._fresh[:] = False
-            self._maxima_key = key
+            self._targets_key = key
         if not self._fresh[idx].all():
-            stale = np.flatnonzero(~self._fresh[:len(self)])
+            rows, stale = self._rows, np.flatnonzero(~self._fresh[:len(self)])
             padded = np.zeros((-(-stale.size // chunk) * chunk, INPUT_DIM),
                               self.dtype)
-            padded[:stale.size] = self._rows.next_states[stale]
-            maxima = [next_state_maxima(target_net, padded[i:i + chunk])
-                      for i in range(0, len(padded), chunk)]
-            self._next_max[stale] = np.concatenate(maxima)[:stale.size]
+            padded[:stale.size] = rows.next_states[stale]
+            next_max = np.concatenate([
+                target_net.activations(padded[i:i + chunk])[-1].max(axis=1)
+                for i in range(0, len(padded), chunk)])[:stale.size]
+            self._targets[stale] = \
+                rows.rewards[stale] + gamma * next_max * ~rows.done[stale]
             self._fresh[stale] = True
-        return self._next_max[idx]
+        return self._targets.take(idx)
 
 
 class DqnAgent:
@@ -400,10 +390,16 @@ class DqnAgent:
         self.last_epsilon = cfg.epsilon_start
 
     def select_action(self, state: np.ndarray) -> int:
-        self.last_epsilon = epsilon_at(self.cfg, self.env_steps)
+        """A uniform random action with probability epsilon, else the
+        lowest-index argmax Q; the coin (not tossed at epsilon 0) comes
+        first, so an exploratory step runs no Q-forward."""
+        if np.shape(state) != (INPUT_DIM,):
+            raise ValueError(f"state must have shape ({INPUT_DIM},)")
+        self.last_epsilon = epsilon = epsilon_at(self.cfg, self.env_steps)
         self.env_steps += 1
-        q = self.net.activations(state)[-1][0]
-        return act_epsilon_greedy(q, self.last_epsilon, self.rng)
+        if epsilon > 0.0 and self.rng.random() < epsilon:
+            return int(self.rng.integers(OUTPUT_DIM))
+        return int(np.argmax(self.net.activations(state)[-1][0]))
 
     def learn(self) -> float | None:
         """Train on one sampled batch if enough data; returns the loss."""

@@ -8,14 +8,17 @@ activations, deltas and gradients, and the SGD update walks the layers.
 and weights.  Kept as it was, apart from a dtype (float64 by default, as
 ``rlcc.dqn.QNetwork``) that its layers and every pass hold; only the TD
 targets, batch stacking and the divergence error come from the package, so
-the replay ring serves both learners its cached target maxima through the
-same ``td_targets``.
+the replay ring serves both learners its cached TD targets through the same
+``td_targets``.
 
 ``per_batch_train_step`` is the other update replaced: train_step before
-the replay ring cached target maxima, evaluating the target network on each
+the replay ring cached anything, evaluating the target network on each
 batch's own next states.  It updates a package ``rlcc.dqn.QNetwork`` through
 the package's ``loss_and_grads``, so a test of the ring's cache compares the
 TD targets alone.
+
+``select_action`` is the agent step before it tossed the epsilon coin first:
+it runs the Q-forward on every step, then ``act_epsilon_greedy`` draws.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from rlcc.dqn import (INPUT_DIM, OUTPUT_DIM, TrainingDivergedError, as_batch,
 class QNetwork:
     """MLP with parameters stored as (weight [out, in], bias [out]) pairs.
 
-    `version` counts copy_from calls: a replay ring's target maxima are
-    keyed on it.
+    `version` counts copy_from calls: a replay ring's TD targets are keyed
+    on it.
     """
 
     def __init__(self, hidden_count: int, hidden_width: int,
@@ -145,3 +148,21 @@ def per_batch_train_step(net: dqn.QNetwork, target_net: dqn.QNetwork,
         w -= lr * dw
         b -= lr * db
     return loss
+
+
+def act_epsilon_greedy(q: np.ndarray, epsilon: float,
+                       rng: np.random.Generator) -> int:
+    """Uniform random action with probability epsilon, else lowest-index
+    argmax."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(len(q)))
+    return int(np.argmax(q))
+
+
+def select_action(agent: dqn.DqnAgent, state: np.ndarray) -> int:
+    """``agent.select_action`` with the greedy Q-values computed before the
+    epsilon coin is tossed."""
+    agent.last_epsilon = dqn.epsilon_at(agent.cfg, agent.env_steps)
+    agent.env_steps += 1
+    q = agent.net.activations(state)[-1][0]
+    return act_epsilon_greedy(q, agent.last_epsilon, agent.rng)

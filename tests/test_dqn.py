@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from reference_dqn import per_batch_train_step
 from rlcc.dqn import (Batch, DqnAgent, QNetwork, ReplayBuffer, Transition,
-                      TrainingDivergedError, act_epsilon_greedy, as_batch,
-                      epsilon_at, loss_and_grads, td_targets, train_step)
+                      TrainingDivergedError, as_batch, epsilon_at,
+                      loss_and_grads, td_targets, train_step)
 from rlcc.schema import ALLOWED_HIDDEN_COUNTS, DqnConfig
 
 
@@ -138,6 +138,15 @@ class TestQNetwork:
             QNetwork.from_layers(layers)
 
 
+def agent_with_q(q, epsilon):
+    """A float32 agent at a fixed epsilon whose Q-values are q in every
+    state: zero weights and q as the output bias."""
+    agent = DqnAgent(DqnConfig(epsilon_start=epsilon, epsilon_min=epsilon))
+    agent.net.theta[:] = 0.0
+    agent.net.layers[-1][1][:] = q
+    return agent
+
+
 class TestEpsilon:
     def test_schedule_values(self):
         cfg = DqnConfig(epsilon_start=1.0, epsilon_min=0.05, epsilon_decay=0.99)
@@ -146,22 +155,30 @@ class TestEpsilon:
         assert epsilon_at(cfg, 10_000) == 0.05
 
     def test_epsilon_one_is_uniform(self):
-        rng = np.random.default_rng(0)
-        q = np.array([0.0, 10.0, 0.0])
+        agent = agent_with_q([0.0, 10.0, 0.0], 1.0)
         n = 100_000
         counts = np.bincount(
-            [act_epsilon_greedy(q, 1.0, rng) for _ in range(n)], minlength=3)
+            [agent.select_action(np.zeros(6)) for _ in range(n)], minlength=3)
         # each arm ~ Binomial(n, 1/3); 3 sigma ~ 0.0045
         np.testing.assert_allclose(counts / n, 1 / 3, atol=0.0045 * 3)
 
     def test_epsilon_zero_is_greedy(self):
-        rng = np.random.default_rng(0)
-        q = np.array([0.0, 10.0, 0.0])
-        assert all(act_epsilon_greedy(q, 0.0, rng) == 1 for _ in range(100))
+        agent = agent_with_q([0.0, 10.0, 0.0], 0.0)
+        assert all(agent.select_action(np.zeros(6)) == 1 for _ in range(100))
 
     def test_greedy_tie_breaks_to_lowest_index(self):
-        rng = np.random.default_rng(0)
-        assert act_epsilon_greedy(np.array([5.0, 5.0, 5.0]), 0.0, rng) == 0
+        agent = agent_with_q([5.0, 5.0, 5.0], 0.0)
+        assert agent.select_action(np.zeros(6)) == 0
+
+    @pytest.mark.parametrize("state", [np.zeros(7), np.zeros((1, 6)), 0.5])
+    def test_exploratory_step_rejects_misshaped_state(self, state):
+        # at epsilon 1 no step reaches the Q-forward's own input check
+        agent = agent_with_q([0.0, 0.0, 0.0], 1.0)
+        rng_state = agent.rng.bit_generator.state
+        with pytest.raises(ValueError, match="shape"):
+            agent.select_action(state)
+        assert agent.env_steps == 0
+        assert agent.rng.bit_generator.state == rng_state
 
 
 class TestTdTargets:
@@ -176,6 +193,19 @@ class TestTdTargets:
         tr = Transition(np.zeros(6), 0, 1.5, s2, done=False)
         expected = 1.5 + 0.95 * net.activations(s2)[-1].max()
         np.testing.assert_allclose(td_targets([tr], net, 0.95), [expected])
+
+    def test_ring_targets_follow_gamma_between_syncs(self):
+        ring = ReplayBuffer(8)
+        for tr in random_batch(np.random.default_rng(7), 8):
+            ring.push(*tr)
+        assert not ring._rows.done.all()
+        net = small_net()
+        batch = ring.sample(8, np.random.default_rng(0))
+        for gamma in (0.9, 0.5, 0.9):
+            # the same ring, target network and batch size at each gamma
+            want = td_targets(Batch(*batch[:5]), net, gamma)
+            np.testing.assert_allclose(td_targets(batch, net, gamma), want,
+                                       rtol=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -444,13 +474,15 @@ class TestConfigValidation:
 
 class TestAgent:
     def test_trains_in_float32(self):
-        agent = DqnAgent(DqnConfig(seed=0, batch_size=4))
+        # a greedy step, so the policy net has its 1-row buffers too
+        agent = DqnAgent(DqnConfig(seed=0, batch_size=4, epsilon_start=0.0,
+                                   epsilon_min=0.0))
         for tr in random_batch(np.random.default_rng(5), 4):
             agent.buffer.push(*tr)
         agent.select_action(np.zeros(6))
         assert agent.learn() is not None
         ring = agent.buffer
-        arrays = [*ring._rows[:5], ring._next_max]
+        arrays = [*ring._rows[:5], ring._targets]
         for net in (agent.net, agent.target_net):
             arrays += [net.theta, net.grad]
             for work in net._work.values():

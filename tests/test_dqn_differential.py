@@ -1,10 +1,12 @@
 """Differential tests of the learner against the code it replaced.
 
-The replay ring's cached target maxima are checked against the per-batch
+The replay ring's cached TD targets are checked against the per-batch
 update that evaluated the target network on every sampled batch,
-``reference_dqn.per_batch_train_step``, and the flat-parameter QNetwork and
-train_step against the per-layer learner in ``tests/reference_dqn.py``.
-Each comparison runs at float64 and at the agent's float32.
+``reference_dqn.per_batch_train_step``, the flat-parameter QNetwork and
+train_step against the per-layer learner in ``tests/reference_dqn.py``, and
+the agent's coin-first epsilon-greedy step against the forward-first one,
+``reference_dqn.select_action``.  Each comparison runs at float64 and at the
+agent's float32.
 
 `ReferenceAgent` is DqnAgent with the per-batch update.  Both agents are
 driven through buffer.push/learn on the same transitions and seeds, so they
@@ -18,7 +20,7 @@ position, the per-batch update at its sampled position; the two agree only
 where BLAS gives a row the same bits at every position of a call of that
 size.  At width 64 the dgemm and the sgemm OpenBLAS runs do so for 1-4 rows
 and the multiples of 4 up to 40, the default 32 included; at other sizes
-they compute the last rows with a narrower kernel.  So the cached-maxima
+they compute the last rows with a narrower kernel.  So the cached-targets
 test at float64, which draws every batch size 1-32, holds losses and
 weights to 1e-9 relative at the other sizes, and at float32 draws only
 these sizes.  A row in a k-row call also gets the bits of a 32-row call for
@@ -171,6 +173,31 @@ def check_cached_maxima(agent_cls, reference_cls, depth, batch_size,
             else:
                 np.testing.assert_allclose(array, ref_array, rtol=1e-9,
                                            atol=1e-12)
+
+
+EPSILON_SCHEDULES = {
+    "decaying": dict(epsilon_decay=0.97),   # under epsilon_min by step 99
+    "zero": dict(epsilon_start=0.0, epsilon_min=0.0),
+    "one": dict(epsilon_min=1.0),
+}
+
+
+@DTYPES
+@pytest.mark.parametrize("schedule", EPSILON_SCHEDULES)
+def test_coin_first_action_matches_forward_first_reference(dtype, schedule):
+    """select_action tosses the epsilon coin before any Q-forward; after
+    every call its action, epsilon and agent rng state equal those of the
+    step that ran the forward first."""
+    agent_cls = Float64Agent if dtype == "float64" else DqnAgent
+    cfg = DqnConfig(seed=11, **EPSILON_SCHEDULES[schedule])
+    agent, reference = agent_cls(cfg), agent_cls(cfg)
+    for state in np.random.default_rng(3).normal(size=(300, 6)):
+        action = agent.select_action(state)
+        assert action == reference_dqn.select_action(reference, state)
+        assert agent.last_epsilon == reference.last_epsilon
+        assert agent.rng.bit_generator.state \
+            == reference.rng.bit_generator.state
+    assert agent.env_steps == reference.env_steps == 300
 
 
 def test_target_forwards_are_inside_td_targets_and_few(monkeypatch):
