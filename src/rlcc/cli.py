@@ -26,10 +26,10 @@ level, which keys the run's cell; analyze prints each cell's kept and dropped
 run counts to stderr and refuses a cell keeping unequal run counts at a pooled
 factor's levels, or a response that overflows the fit.  grid starts at most one
 worker per usable CPU.
---out-dir is created, and must be writable, before a command starts; CSVs
-are written atomically, and every output is fully determined by
---base-seed.  steps.csv rows are schema.Step tuples, whose fields are its
-columns.
+--out-dir is created, and must be writable and hold no directory where a
+CSV goes, before a command starts; CSVs are written atomically, and every
+output is fully determined by --base-seed.  steps.csv rows are schema.Step
+tuples, whose fields are its columns.
 
 Exit codes: 0 success, 2 invalid input (including a configuration too large
 to allocate or an unbalanced fit), 3 training divergence (train), 4 partial
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cwnd", type=int, default=64)
     p.add_argument("--duration-ms", default=5000.0)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, csvs=("steps.csv",))
 
     p = sub.add_parser("train", help="one online DQN episode")
     common(p)
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     shorthand(p, "--error-rate", "error_rate")
     p.add_argument("--seed", type=int, default=None,
                    help="explicit run seed (default: derived from base seed)")
-    p.set_defaults(func=cmd_single_run)
+    p.set_defaults(func=cmd_single_run, csvs=("runs.csv", "steps.csv"))
 
     p = sub.add_parser("grid", help="factorial experiment grid")
     common(p)
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, >= 1 (default: available "
                    "parallelism; never more than the runs)")
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_grid, csvs=("runs.csv", "steps.csv"))
 
     p = sub.add_parser("analyze", help="coded-factor OLS on runs.csv")
     p.add_argument("--out-dir", default=".", help="output directory")
@@ -510,13 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two or three comma-separated factor columns; "
                    "a two-factor fit pools the third into its residual")
     p.add_argument("--response", default="avg_throughput_Bps")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, csvs=("regression.csv",))
 
     p = sub.add_parser("baseline", help="uniform-random action episode")
     common(p)
     shorthand(p, "--error-rate", "error_rate")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_single_run)
+    p.set_defaults(func=cmd_single_run, csvs=("runs.csv", "steps.csv"))
 
     return parser
 
@@ -536,6 +536,10 @@ def run(argv=None) -> int:
         if not os.access(args.out_dir, os.W_OK | os.X_OK):
             raise CliError(f"cannot use --out-dir: {args.out_dir!r} is not "
                            "writable")
+        for name in args.csvs:   # os.replace can replace a link, not a dir
+            path = os.path.join(args.out_dir, name)
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise CliError(f"cannot use --out-dir: {name} is a directory")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -412,3 +412,16 @@ class DqnAgent:
         if self.train_steps % self.cfg.target_sync_every == 0:
             self.target_net.copy_from(self.net)
         return loss
+
+    def observe(self, state, action, reward, next_state, done):
+        """Push a transition and learn up to train_updates_per_step times;
+        returns (the last finite loss or None, diverged).  The done step
+        also checks theta, since a learn checks only its loss."""
+        self.buffer.push(state, action, reward, next_state, done)
+        loss = None
+        try:
+            for _ in range(self.cfg.train_updates_per_step):
+                loss = self.learn()
+        except TrainingDivergedError:
+            return loss, True
+        return loss, done and not np.isfinite(self.net.theta).all()

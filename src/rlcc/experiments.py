@@ -4,10 +4,11 @@ and per-run metrics (including the cwnd plateau detector).
 The design crosses the paper's fixed levels of depth, learning rate and
 channel error rate; the levels cannot be set.
 
-Every run is one 200-step online-training episode.  Seeds derive from
-(base_seed, cell, rep) via SHA-256, so the whole grid is reproducible and
-runs can execute in any order or in parallel.  A run's trace rows are Step
-tuples, whose fields are the steps.csv columns.
+Every run is one 200-step episode of a player: a DqnAgent training online
+or the RandomPolicy control, each with select_action and observe.  Seeds
+derive from (base_seed, cell, rep) via SHA-256, so the whole grid is
+reproducible and runs can execute in any order or in parallel.  A run's
+trace rows are Step tuples, whose fields are the steps.csv columns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from statistics import mean
 
 import numpy as np
 
-from .dqn import OUTPUT_DIM, DqnAgent, TrainingDivergedError
+from .dqn import OUTPUT_DIM, DqnAgent
 from .env import Env, normalize
 from .schema import (DqnConfig, EnvConfig, FactorLevels, RunRecord, RunSpec,
                      Step)
@@ -90,61 +91,60 @@ def convergence_step(cwnd_series):
     return t
 
 
+class RandomPolicy:
+    """The control condition: uniform actions from its own stream."""
+
+    last_epsilon = None
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed ^ 0x9E3779B9)
+
+    def select_action(self, state) -> int:
+        return int(self.rng.integers(OUTPUT_DIM))
+
+    def observe(self, state, action, reward, next_state, done):
+        return None, False
+
+
 def execute_run(spec: RunSpec, env_cfg: EnvConfig, dqn_cfg: DqnConfig,
                 policy: str = "dqn"):
     """Run one online episode and return (RunRecord, trace rows).
 
-    policy 'dqn' trains online; 'random' takes uniform actions and builds
-    no agent (the control condition).  A diverged training run is truncated
-    and flagged rather than raised.
+    policy names the player: 'dqn' a DqnAgent training online, 'random' a
+    RandomPolicy.  Each step the player selects an action and observes the
+    transition; a step it reports diverged ends the run, flagged, not raised.
     """
     if policy not in ("dqn", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     t_start = time.monotonic()
     bn = replace(env_cfg.sim.bottleneck_link, loss_prob=spec.error_rate)
     env = Env(replace(env_cfg, sim=replace(env_cfg.sim, bottleneck_link=bn)))
-    agent = DqnAgent(replace(
-        dqn_cfg, hidden_count=spec.layers, learning_rate=spec.learning_rate,
-        # decorrelate the agent's stream from the channel noise
-        seed=spec.seed ^ 0x5DEECE66D)) if policy == "dqn" else None
-    baseline_rng = np.random.default_rng(spec.seed ^ 0x9E3779B9)
+    if policy == "dqn":   # its stream decorrelated from the channel noise
+        player = DqnAgent(replace(dqn_cfg, hidden_count=spec.layers,
+                                  learning_rate=spec.learning_rate,
+                                  seed=spec.seed ^ 0x5DEECE66D))
+    else:
+        player = RandomPolicy(spec.seed)
 
-    obs = env.reset(spec.seed)
-    state = normalize(obs)
+    state = normalize(env.reset(spec.seed))
     trace: list[Step] = []
-    diverged = False
 
-    # the loss and theta checks flag a diverging learner's overflow
+    # the player's loss and theta checks flag a diverging learner's overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(env_cfg.episode_length):
-            if agent is None:
-                action = int(baseline_rng.integers(OUTPUT_DIM))
-                epsilon = None
-            else:
-                action = agent.select_action(state)
-                epsilon = agent.last_epsilon
+            action = player.select_action(state)
             result = env.step(action)
-            next_state = normalize(result.observation)
-            loss = None
-            if agent is not None:
-                agent.buffer.push(state, action, result.reward, next_state,
-                                  result.done)
-                try:
-                    for _ in range(dqn_cfg.train_updates_per_step):
-                        loss = agent.learn()
-                except TrainingDivergedError:
-                    diverged = True
-            state = next_state
             obs = result.observation
+            next_state = normalize(obs)
+            loss, diverged = player.observe(state, action, result.reward,
+                                            next_state, result.done)
+            state = next_state
             trace.append(Step(spec.run_id, result.step_index,
                               obs.cwnd_segments, obs.throughput_Bps,
-                              obs.avg_rtt_ms, result.reward, epsilon, loss))
+                              obs.avg_rtt_ms, result.reward,
+                              player.last_epsilon, loss))
             if diverged:
                 break
-    # train_step checks the loss, which precedes its update, so an update
-    # that overflows theta on the last step is caught here.
-    if agent is not None and not np.isfinite(agent.net.theta).all():
-        diverged = True
 
     cwnds = [row.cwnd for row in trace]
     throughputs = [row.throughput_Bps for row in trace]

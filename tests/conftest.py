@@ -33,7 +33,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def poison_last_train_step(monkeypatch):
     """poison(run) calls run() once to count its dqn.train_step calls, then
     again with the last of them writing nan into the trained network's
-    theta after its update, and returns what the second call returned."""
+    theta after its update, and returns what the second call returned.
+    Each poison call counts afresh."""
     original = dqn.train_step
     calls = []
 
@@ -42,6 +43,7 @@ def poison_last_train_step(monkeypatch):
         return original(net, *args, **kwargs)
 
     def poison(run):
+        calls.clear()
         monkeypatch.setattr(dqn, "train_step", counting)
         run()
         last = len(calls)

@@ -437,10 +437,16 @@ def test_analyze_exit_code_is_in_the_contract(row, column, value):
 
 
 class TestOutDir:
-    @pytest.fixture(params=["a file", "under a file", "unwritable"])
+    @pytest.fixture(params=["a file", "under a file", "unwritable",
+                            "a CSV path taken by a directory"])
     def unusable_out_dir(self, request, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
+        if request.param == "a CSV path taken by a directory":
+            # every command here writes steps.csv; train and grid write
+            # runs.csv first
+            (tmp_path / "steps.csv").mkdir()
+            return tmp_path
         if request.param == "unwritable":
             # root ignores mode bits, so the write check is made to fail
             access = os.access
@@ -454,8 +460,8 @@ class TestOutDir:
         ("train", *FAST),
         ("grid", *FAST, "--reps", "1", "--jobs", "1"),
     ], ids=lambda argv: argv[0])
-    def test_exits_2_before_any_run(self, unusable_out_dir, capsys,
-                                    monkeypatch, argv):
+    def test_exits_2_before_any_run(self, unusable_out_dir, tmp_path,
+                                    capsys, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(experiments, "execute_run",
                             lambda *a, **kw: calls.append(a))
@@ -463,6 +469,31 @@ class TestOutDir:
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: cannot use --out-dir")
         assert calls == []
+        assert not [p for p in tmp_path.rglob("*.csv") if p.is_file()]
+
+    def test_analyze_exits_2_when_regression_csv_is_a_directory(
+            self, tmp_path, capsys):
+        write_runs_csv(tmp_path / "runs.csv")
+        (tmp_path / "regression.csv").mkdir()
+        assert run_cli("analyze", "--runs", str(tmp_path / "runs.csv"),
+                       "--out-dir", str(tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: cannot use --out-dir: regression.csv is a "
+                       "directory\n")
+        assert list((tmp_path / "regression.csv").iterdir()) == []
+
+    def test_csv_path_linked_to_a_directory_is_replaced(self, tmp_path,
+                                                        capsys):
+        """The rename replaces a symlink, not the directory it names."""
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        (tmp_path / "steps.csv").symlink_to(target)
+        assert run_cli("simulate", "--duration-ms", "100",
+                       "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / "steps.csv").is_file()
+        assert not (tmp_path / "steps.csv").is_symlink()
+        assert list(target.iterdir()) == []
 
 
 def _reference_fmt(value) -> str:
@@ -776,7 +807,7 @@ class TestTrainAndBaseline:
         column = STEPS_HEADER.index("loss")
         losses = [float(row[column]) for row in steps[1:] if row[column]]
         assert all(map(math.isfinite, losses))
-        assert max(losses) > np.finfo(np.float32).max
+        assert max(losses) > float(np.finfo(np.float32).max)
         assert len(read_csv(tmp_path / "f32" / "steps.csv")) \
             < len(steps) == 41
 
