@@ -16,8 +16,11 @@ left: the one orientation measured bit-equal at every row count.
 
 The target network is frozen between syncs and a stored row never changes,
 so the replay ring keeps each row's TD target and evaluates a row again only
-after a push over it, a sync or a new gamma.  The agent runs its Q-forward
-only on the steps its epsilon coin exploits.
+after a push over it, a sync or a new gamma.  Every batch is rows of a ring
+(a caller's Transition list gets a ring of its own), so the TD target is
+written once, in the ring, and a sample is only row indices: training
+gathers the states and actions it uses.  The agent runs its Q-forward only
+on the steps its epsilon coin exploits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 class Transition(NamedTuple):
-    """One replay row in push's order; a caller's batch is a list of these."""
+    """One replay row in push's order; a caller's batch is a list of these,
+    and a ReplayBuffer's `columns` is one of row arrays."""
     state: np.ndarray       # six normalized reals
     action_index: int       # 0 decrease, 1 hold, 2 increase
     reward: float
@@ -46,41 +50,23 @@ class Transition(NamedTuple):
 
 
 class Batch(NamedTuple):
-    """Transitions as row arrays, one row each: a sampled batch, or the
-    replay ring's storage.  A batch sampled from a ring also names the ring
-    and the drawn row indices, so td_targets can read the rows' TD targets
-    from the ring; it reads the rows as they are then, so train on
-    a sampled batch before the next push."""
-    states: np.ndarray        # [n, INPUT_DIM] float (a ring's dtype)
-    actions: np.ndarray       # [n] int64
-    rewards: np.ndarray       # [n] float
-    next_states: np.ndarray   # [n, INPUT_DIM] float
-    done: np.ndarray          # [n] bool
-    ring: "ReplayBuffer | None" = None
-    rows: np.ndarray | None = None   # [n] int64 row indices into ring
-
-
-def check_actions(actions) -> None:
-    """Reject action indices that are not integers in 0..OUTPUT_DIM-1: the
-    flat gather of the taken Q-values would read a neighbouring row's."""
-    actions = np.asarray(actions)
-    if actions.dtype.kind not in "iu" or actions.size and not \
-            0 <= actions.min() <= actions.max() < OUTPUT_DIM:
-        raise ValueError(f"actions must be integers in 0..{OUTPUT_DIM - 1}")
+    """Rows of a replay ring: a sampled batch, or a caller's Transitions
+    pushed into a ring of their own.  Training reads the rows as they are
+    then, so train on a sampled batch before the next push."""
+    ring: "ReplayBuffer"
+    rows: np.ndarray   # [n] int64 row indices into ring.columns
 
 
 def as_batch(batch: Batch | Sequence[Transition]) -> Batch:
-    """A Batch as is, or a sequence of Transitions stacked field by field
-    into one.  A batch not sampled from a ring has its actions checked here;
-    a ring checks each action at push."""
+    """A Batch as is, or a sequence of Transitions pushed in order into a
+    fresh float64 ring of its length, so push checks each row."""
     if not isinstance(batch, Batch):
-        if not batch:
-            raise ValueError("batch must be non-empty")
-        batch = Batch(*map(np.array, zip(*batch)))
-    if len(batch.rewards) == 0:
+        ring = ReplayBuffer(max(len(batch), 1))
+        for transition in batch:
+            ring.push(*transition)
+        batch = Batch(ring, np.arange(len(batch)))
+    if len(batch.rows) == 0:
         raise ValueError("batch must be non-empty")
-    if batch.ring is None:
-        check_actions(batch.actions)
     return batch
 
 
@@ -198,17 +184,10 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
 
 def td_targets(batch: Batch | Sequence[Transition], target_net: QNetwork,
                gamma: float) -> np.ndarray:
-    """Bellman backups: r, or r + gamma * max_a' Q_target(s', a').
-
-    A batch sampled from a ReplayBuffer reads its targets from the ring's
-    per-row column, evaluating the ring's stale rows first; any other batch
-    is evaluated in one call on its own rows.
-    """
+    """Bellman backups of the batch's rows: r, or r + gamma * max_a'
+    Q_target(s', a'), read from its ring (ReplayBuffer.td_targets)."""
     batch = as_batch(batch)
-    if batch.ring is not None:
-        return batch.ring.td_targets(target_net, gamma, batch.rows)
-    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
-    return batch.rewards + gamma * next_max * ~batch.done
+    return batch.ring.td_targets(target_net, gamma, batch.rows)
 
 
 def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
@@ -219,12 +198,18 @@ def loss_and_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     Returns (loss, grads), grads being (weight, bias) views like net.layers
     into a fresh vector laid out like net.theta.  in_place writes net.grad
     instead, which later calls overwrite; only train_step passes it, with
-    actions its batch has checked.
+    actions its ring checked at push.
     """
     if in_place:
         grads = net._grad_layers
     else:
-        check_actions(actions)
+        # an index outside 0..OUTPUT_DIM-1 would gather a neighbouring
+        # row's Q-value
+        actions = np.asarray(actions)
+        if actions.dtype.kind not in "iu" or actions.size and not \
+                0 <= actions.min() <= actions.max() < OUTPUT_DIM:
+            raise ValueError(
+                f"actions must be integers in 0..{OUTPUT_DIM - 1}")
         grads = net._views(np.empty_like(net.theta))
     acts = net.activations(states)
     n = acts[0].shape[0]
@@ -256,7 +241,9 @@ def train_step(net: QNetwork, target_net: QNetwork,
     """One TD(0) gradient-descent update in place; returns the batch loss."""
     batch = as_batch(batch)
     targets = td_targets(batch, target_net, gamma)
-    loss, _ = loss_and_grads(net, batch.states, batch.actions, targets,
+    columns, rows = batch.ring.columns, batch.rows
+    loss, _ = loss_and_grads(net, columns.state.take(rows, 0),
+                             columns.action_index.take(rows), targets,
                              in_place=True)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
@@ -267,9 +254,9 @@ def train_step(net: QNetwork, target_net: QNetwork,
 
 class ReplayBuffer:
     """Uniform FIFO replay ring of preallocated row arrays, the float ones
-    of `dtype`; sampling is without replacement.  Push k (counting from 0)
-    writes row k % capacity, so the oldest transition is the one
-    overwritten.
+    of `dtype`, held as one Transition `columns`; sampling draws row indices
+    without replacement.  Push k (counting from 0) writes row k % capacity,
+    so the oldest transition is the one overwritten.
 
     Each row also has a cached TD target, r + gamma * max_a' Q_target(s',
     a') * (not done), and a mark saying whether it is fresh.  A push marks
@@ -285,11 +272,12 @@ class ReplayBuffer:
                 > np.iinfo(np.intp).max:   # as QNetwork
             raise MemoryError(f"replay ring of {capacity} rows")
         self.capacity = capacity
-        self._rows = Batch(np.empty((capacity, INPUT_DIM), self.dtype),
-                           np.empty(capacity, dtype=np.int64),
-                           np.empty(capacity, self.dtype),
-                           np.empty((capacity, INPUT_DIM), self.dtype),
-                           np.empty(capacity, dtype=bool))
+        self.columns = Transition(
+            np.empty((capacity, INPUT_DIM), self.dtype),
+            np.empty(capacity, dtype=np.int64),
+            np.empty(capacity, self.dtype),
+            np.empty((capacity, INPUT_DIM), self.dtype),
+            np.empty(capacity, dtype=bool))
         self._pushed = 0
         self._targets = np.empty(capacity, self.dtype)
         self._fresh = np.zeros(capacity, dtype=bool)
@@ -310,42 +298,38 @@ class ReplayBuffer:
             raise ValueError(
                 f"action_index must be an integer in 0..{OUTPUT_DIM - 1}")
         row = self._pushed % self.capacity
-        rows = self._rows
-        rows.states[row] = state
-        rows.actions[row] = action_index
-        rows.rewards[row] = reward
-        rows.next_states[row] = next_state
-        rows.done[row] = done
+        columns = self.columns
+        columns.state[row] = state
+        columns.action_index[row] = action_index
+        columns.reward[row] = reward
+        columns.next_state[row] = next_state
+        columns.done[row] = done
         self._fresh[row] = False
         self._pushed += 1
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         if n > len(self):
             raise RuntimeError(f"buffer holds {len(self)} < {n} transitions")
-        idx = rng.choice(len(self), size=n, replace=False)
-        rows = self._rows
-        return Batch(rows.states.take(idx, 0), rows.actions.take(idx, 0),
-                     rows.rewards.take(idx, 0), rows.next_states.take(idx, 0),
-                     rows.done.take(idx, 0), self, idx)
+        return Batch(self, rng.choice(len(self), size=n, replace=False))
 
     def td_targets(self, target_net: QNetwork, gamma: float,
                    idx: np.ndarray) -> np.ndarray:
         """TD targets of rows idx, read from the column.
 
         When a drawn row is stale, every stale row is evaluated first, so
-        rows pushed since the last evaluation share its calls; a target is
-        td_targets' elementwise expression on the row's maximum, so it has
-        the same bits.  Each call has exactly len(idx) rows, the last one
-        zero-padded, because a BLAS gemm row's bits can depend on the call's
-        row count: on the sgemm and the dgemm OpenBLAS ran at width 64
-        (runtime core SkylakeX; Haswell is only the build target numpy
-        reports), a row in a k-row call matched the same row in a 32-row
-        call only for k = 20, 24, 28 and 32, so less padding would change
-        training's last bits.  Where a row's bits do not also depend on its
-        position in the call (there, at both precisions: 1-4 rows or a
-        multiple of 4, measured up to 40, the default 32 included), each
-        target equals the one a sampled batch evaluates itself; at other
-        sizes the two may differ in their last bits.
+        rows pushed since the last evaluation share its calls, and a ring
+        as_batch fills is one call on all its rows in order.  Each call has
+        exactly len(idx) rows, the last one zero-padded, because a BLAS gemm
+        row's bits can depend on the call's row count: on the sgemm and the
+        dgemm OpenBLAS ran at width 64 (runtime core SkylakeX; Haswell is
+        only the build target numpy reports), a row in a k-row call matched
+        the same row in a 32-row call only for k = 20, 24, 28 and 32, so
+        less padding would change training's last bits.  Where a row's bits
+        do not also depend on its position in the call (there, at both
+        precisions: 1-4 rows or a multiple of 4, measured up to 40, the
+        default 32 included), each target equals the one an evaluation of
+        the drawn rows alone would give; at other sizes the two may differ
+        in their last bits.
         """
         chunk = len(idx)
         key = (target_net, target_net.version, chunk, gamma)
@@ -353,15 +337,16 @@ class ReplayBuffer:
             self._fresh[:] = False
             self._targets_key = key
         if not self._fresh[idx].all():
-            rows, stale = self._rows, np.flatnonzero(~self._fresh[:len(self)])
+            columns = self.columns
+            stale = np.flatnonzero(~self._fresh[:len(self)])
             padded = np.zeros((-(-stale.size // chunk) * chunk, INPUT_DIM),
                               self.dtype)
-            padded[:stale.size] = rows.next_states[stale]
+            padded[:stale.size] = columns.next_state[stale]
             next_max = np.concatenate([
                 target_net.activations(padded[i:i + chunk])[-1].max(axis=1)
                 for i in range(0, len(padded), chunk)])[:stale.size]
-            self._targets[stale] = \
-                rows.rewards[stale] + gamma * next_max * ~rows.done[stale]
+            self._targets[stale] = columns.reward[stale] \
+                + gamma * next_max * ~columns.done[stale]
             self._fresh[stale] = True
         return self._targets.take(idx)
 

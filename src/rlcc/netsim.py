@@ -199,10 +199,6 @@ class Simulator:
 
     # -- public surface ----------------------------------------------------
 
-    @property
-    def in_flight(self) -> int:
-        return max(len(self._unacked), self._fill_to)
-
     def counters(self) -> FlowCounters:
         return FlowCounters(
             bytes_sent_total=self.bytes_sent_total,

@@ -7,15 +7,18 @@ activations, deltas and gradients, and the SGD update walks the layers.
 ``rlcc.dqn.QNetwork`` and ``train_step`` and requires equal losses, Q-values
 and weights.  Kept as it was, apart from a dtype (float64 by default, as
 ``rlcc.dqn.QNetwork``) that its layers and every pass hold; only the TD
-targets, batch stacking and the divergence error come from the package, so
-the replay ring serves both learners its cached TD targets through the same
+targets, batches and the divergence error come from the package, so the
+replay ring serves both learners its cached TD targets through the same
 ``td_targets``.
 
-``per_batch_train_step`` is the other update replaced: train_step before
-the replay ring cached anything, evaluating the target network on each
-batch's own next states.  It updates a package ``rlcc.dqn.QNetwork`` through
-the package's ``loss_and_grads``, so a test of the ring's cache compares the
-TD targets alone.
+``columns`` gathers a batch's rows from its ring, as ``sample`` did before a
+batch became row indices.  ``stack_reference`` and ``per_batch_targets`` are
+the batch path the ring replaced: a Transition list stacked field by field
+and its TD targets from one target-network call on its own next states.
+``per_batch_train_step`` is train_step on such arrays, as it was before the
+replay ring cached anything.  It updates a package ``rlcc.dqn.QNetwork``
+through the package's ``loss_and_grads``, so a test of the ring compares
+the TD targets alone.
 
 ``select_action`` is the agent step before it tossed the epsilon coin first:
 it runs the Q-forward on every step, then ``act_epsilon_greedy`` draws.
@@ -26,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from rlcc import dqn
-from rlcc.dqn import (INPUT_DIM, OUTPUT_DIM, TrainingDivergedError, as_batch,
-                      td_targets)
+from rlcc.dqn import (INPUT_DIM, OUTPUT_DIM, Transition, TrainingDivergedError,
+                      as_batch, td_targets)
 
 
 class QNetwork:
@@ -126,7 +129,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, lr: float,
     """One TD(0) gradient-descent update in place; returns the batch loss."""
     batch = as_batch(batch)
     targets = td_targets(batch, target_net, gamma)
-    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
+    rows = columns(batch)
+    loss, grads = loss_and_grads(net, rows.state, rows.action_index, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
     for (w, b), (dw, db) in zip(net.layers, grads):
@@ -135,13 +139,31 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, lr: float,
     return loss
 
 
+def columns(batch: dqn.Batch) -> Transition:
+    """The batch's rows of each of its ring's columns."""
+    return Transition(*(column.take(batch.rows, 0)
+                        for column in batch.ring.columns))
+
+
+def stack_reference(transitions) -> Transition:
+    """A Transition list stacked field by field into row arrays."""
+    return Transition(*map(np.array, zip(*transitions)))
+
+
+def per_batch_targets(rows: Transition, target_net: dqn.QNetwork,
+                      gamma: float) -> np.ndarray:
+    """TD targets of row arrays from one target-network call on their own
+    next states."""
+    next_max = target_net.activations(rows.next_state)[-1].max(axis=1)
+    return rows.reward + gamma * next_max * ~rows.done
+
+
 def per_batch_train_step(net: dqn.QNetwork, target_net: dqn.QNetwork,
-                         batch: dqn.Batch, lr: float, gamma: float) -> float:
-    """train_step with the TD targets from one target-network call on the
-    batch's own next states, whatever ring the batch was sampled from."""
-    next_max = target_net.activations(batch.next_states)[-1].max(axis=1)
-    targets = batch.rewards + gamma * next_max * ~batch.done
-    loss, grads = dqn.loss_and_grads(net, batch.states, batch.actions, targets)
+                         rows: Transition, lr: float, gamma: float) -> float:
+    """train_step on row arrays with their per_batch_targets."""
+    targets = per_batch_targets(rows, target_net, gamma)
+    loss, grads = dqn.loss_and_grads(net, rows.state, rows.action_index,
+                                     targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
     for (w, b), (dw, db) in zip(net.layers, grads):

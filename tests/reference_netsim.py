@@ -90,10 +90,6 @@ class ReferenceSimulator:
 
     # -- public surface ----------------------------------------------------
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._unacked)
-
     def counters(self) -> FlowCounters:
         return FlowCounters(
             bytes_sent_total=self.bytes_sent_total,

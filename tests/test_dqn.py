@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_dqn import per_batch_train_step
-from rlcc.dqn import (Batch, DqnAgent, QNetwork, ReplayBuffer, Transition,
+from reference_dqn import (columns, per_batch_targets, per_batch_train_step,
+                           stack_reference)
+from rlcc.dqn import (DqnAgent, QNetwork, ReplayBuffer, Transition,
                       TrainingDivergedError, as_batch, epsilon_at,
                       loss_and_grads, td_targets, train_step)
 from rlcc.schema import ALLOWED_HIDDEN_COUNTS, DqnConfig
@@ -194,16 +195,26 @@ class TestTdTargets:
         expected = 1.5 + 0.95 * net.activations(s2)[-1].max()
         np.testing.assert_allclose(td_targets([tr], net, 0.95), [expected])
 
+    @pytest.mark.parametrize("done", [0, 1])
+    def test_integer_done_flag_reads_as_bool(self, done):
+        # stacked, 0/1 flags were int64, and ~ made them -1/-2, not 1/0
+        net = small_net()
+        want = td_targets([Transition(np.zeros(6), 0, 1.5, np.ones(6),
+                                      bool(done))], net, 0.95)
+        got = td_targets([Transition(np.zeros(6), 0, 1.5, np.ones(6), done)],
+                         net, 0.95)
+        assert np.array_equal(got, want)
+
     def test_ring_targets_follow_gamma_between_syncs(self):
         ring = ReplayBuffer(8)
         for tr in random_batch(np.random.default_rng(7), 8):
             ring.push(*tr)
-        assert not ring._rows.done.all()
+        assert not ring.columns.done.all()
         net = small_net()
         batch = ring.sample(8, np.random.default_rng(0))
         for gamma in (0.9, 0.5, 0.9):
             # the same ring, target network and batch size at each gamma
-            want = td_targets(Batch(*batch[:5]), net, gamma)
+            want = per_batch_targets(columns(batch), net, gamma)
             np.testing.assert_allclose(td_targets(batch, net, gamma), want,
                                        rtol=1e-12)
 
@@ -216,13 +227,26 @@ class TestTdTargets:
         trs = random_batch(np.random.default_rng(4), n=3)
         trs[1] = Transition(np.zeros(6), action, 0.0, np.zeros(6), False)
         net = small_net()
+        with pytest.raises(ValueError, match="action_index"):
+            td_targets(trs, net, 0.95)
+        with pytest.raises(ValueError, match="action_index"):
+            train_step(net, net.clone(), trs, lr=0.01, gamma=0.95)
         stacked = stack_reference(trs)
-        for batch in (trs, stacked):
-            with pytest.raises(ValueError, match="actions"):
-                train_step(net, net.clone(), batch, lr=0.01, gamma=0.95)
         with pytest.raises(ValueError, match="actions"):
-            loss_and_grads(net, stacked.states, stacked.actions,
-                           stacked.rewards)
+            loss_and_grads(net, stacked.state, stacked.action_index,
+                           stacked.reward)
+
+    def test_caller_batch_bool_action_rejected(self):
+        # stacked, these actions are int64, and a True was trained as 1
+        trs = [tr._replace(action_index=action) for tr, action in
+               zip(random_batch(np.random.default_rng(4), n=3), [0, True, 2])]
+        net = small_net()
+        theta = net.theta.copy()
+        with pytest.raises(ValueError, match="action_index"):
+            td_targets(trs, net, 0.95)
+        with pytest.raises(ValueError, match="action_index"):
+            train_step(net, net.clone(), trs, lr=0.01, gamma=0.95)
+        assert np.array_equal(net.theta, theta)
 
 
 class TestGradients:
@@ -315,7 +339,7 @@ class TestReplayBuffer:
         for tr in trs:
             buf.push(*tr)
         everything = buf.sample(len(buf), np.random.default_rng(0))
-        rewards = sorted(everything.rewards)
+        rewards = sorted(columns(everything).reward)
         assert rewards == [2.0, 3.0, 4.0]
 
     def test_sample_without_replacement(self):
@@ -324,7 +348,7 @@ class TestReplayBuffer:
             buf.push(np.zeros(6), 0, float(i), np.zeros(6), False)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            rewards = list(buf.sample(10, rng).rewards)
+            rewards = list(columns(buf.sample(10, rng)).reward)
             assert sorted(rewards) == [float(i) for i in range(10)]
 
     def test_insufficient_data(self):
@@ -353,7 +377,8 @@ class TestReplayBuffer:
     def test_accepts_numpy_integer_action(self):
         buf = ReplayBuffer(4)
         buf.push(np.zeros(6), np.int64(2), 0.0, np.zeros(6), False)
-        assert buf.sample(1, np.random.default_rng(0)).actions[0] == 2
+        batch = buf.sample(1, np.random.default_rng(0))
+        assert columns(batch).action_index[0] == 2
 
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(100)
@@ -363,7 +388,7 @@ class TestReplayBuffer:
         hits = np.zeros(100)
         draws = 2000
         for _ in range(draws):
-            for reward in buf.sample(32, rng).rewards:
+            for reward in columns(buf.sample(32, rng)).reward:
                 hits[int(reward)] += 1
         freq = hits / (draws * 32)
         # each slot ~ hypergeometric mean 0.01; loose 5-sigma band
@@ -394,15 +419,6 @@ class ListReplayBuffer:
         return [self._storage[i] for i in idx]
 
 
-def stack_reference(transitions):
-    """The arrays td_targets and train_step built from a Transition list."""
-    return Batch(states=np.stack([t.state for t in transitions]),
-                 actions=np.array([t.action_index for t in transitions]),
-                 rewards=np.array([t.reward for t in transitions]),
-                 next_states=np.stack([t.next_state for t in transitions]),
-                 done=np.array([t.done for t in transitions]))
-
-
 class TestReplayRingMatchesList:
     @settings(max_examples=60, deadline=None)
     @given(capacity=st.integers(1, 50), data=st.data(),
@@ -430,10 +446,10 @@ class TestReplayRingMatchesList:
             batch = ring.sample(n, ring_rng)
             expected = reference.sample(n, ref_rng)
             ref_batch = stack_reference(expected)
-            for got, want in zip(batch[:5], ref_batch):
+            for got, want in zip(columns(batch), ref_batch):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            for got, want in zip(as_batch(expected)[:5], ref_batch):
+            for got, want in zip(columns(as_batch(expected)), ref_batch):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             loss = train_step(net, target, batch, lr=0.01, gamma=0.95)
@@ -482,7 +498,7 @@ class TestAgent:
         agent.select_action(np.zeros(6))
         assert agent.learn() is not None
         ring = agent.buffer
-        arrays = [*ring._rows[:5], ring._targets]
+        arrays = [*ring.columns, ring._targets]
         for net in (agent.net, agent.target_net):
             arrays += [net.theta, net.grad]
             for work in net._work.values():

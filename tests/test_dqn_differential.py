@@ -2,7 +2,9 @@
 
 The replay ring's cached TD targets are checked against the per-batch
 update that evaluated the target network on every sampled batch,
-``reference_dqn.per_batch_train_step``, the flat-parameter QNetwork and
+``reference_dqn.per_batch_train_step``, a Transition list's ring of its own
+against the stacked arrays that list was evaluated as before,
+``reference_dqn.stack_reference``, the flat-parameter QNetwork and
 train_step against the per-layer learner in ``tests/reference_dqn.py``, and
 the agent's coin-first epsilon-greedy step against the forward-first one,
 ``reference_dqn.select_action``.  Each comparison runs at float64 and at the
@@ -15,7 +17,8 @@ number of pushes), syncs from every update to rarely, and batch sizes 1-32.
 
 Every comparison is bit for bit but one.  The flat and the per-layer
 learner run the same gemm calls on the same rows, so they agree at every
-row count.  The ring evaluates a row in a call of batch-size rows at some
+row count, and so do a list's ring and its stacked arrays: a ring of its
+own evaluates all its rows in one call, in order.  The ring evaluates a row in a call of batch-size rows at some
 position, the per-batch update at its sampled position; the two agree only
 where BLAS gives a row the same bits at every position of a call of that
 size.  At width 64 the dgemm and the sgemm OpenBLAS runs do so for 1-4 rows
@@ -75,8 +78,8 @@ class ReferenceAgent(DqnAgent):
             return None
         batch = self.buffer.sample(self.cfg.batch_size, self.rng)
         loss = reference_dqn.per_batch_train_step(
-            self.net, self.target_net, batch, self.cfg.learning_rate,
-            self.cfg.gamma)
+            self.net, self.target_net, reference_dqn.columns(batch),
+            self.cfg.learning_rate, self.cfg.gamma)
         self.train_steps += 1
         if self.train_steps % self.cfg.target_sync_every == 0:
             self.target_net.copy_from(self.net)
@@ -295,9 +298,11 @@ def test_flat_learner_matches_per_layer_reference(
             continue
         batch = ring.sample(batch_size, rng)
         ref_batch = ref_ring.sample(batch_size, ref_rng)
-        held = loss_and_grads(net, batch.states, batch.actions, batch.rewards)
+        rows = reference_dqn.columns(batch)
+        ref_rows = reference_dqn.columns(ref_batch)
+        held = loss_and_grads(net, rows.state, rows.action_index, rows.reward)
         ref_held = reference_dqn.loss_and_grads(
-            ref, ref_batch.states, ref_batch.actions, ref_batch.rewards)
+            ref, ref_rows.state, ref_rows.action_index, ref_rows.reward)
         try:
             loss = dqn.train_step(net, target, batch, lr, 0.95)
         except TrainingDivergedError:
@@ -352,3 +357,30 @@ def test_every_row_count_matches_reference_bitwise(dtype):
                 for got, want in zip(grads, ref_grads):
                     assert np.array_equal(got[0], want[0]), where
                     assert np.array_equal(got[1], want[1]), where
+
+
+@DTYPES
+def test_transition_lists_match_stacked_reference(dtype):
+    """A Transition list is pushed into a float64 ring of its own; its TD
+    targets, the loss train_step reports and the weights it leaves equal
+    those of the list stacked field by field and evaluated in one call on
+    its own rows, bit for bit at every length 1-40."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 41):
+        depth = ALLOWED_HIDDEN_COUNTS[n % len(ALLOWED_HIDDEN_COUNTS)]
+        net = QNetwork(depth, 64, rng, dtype)
+        target = QNetwork(depth, 64, rng, dtype)
+        ref_net = net.clone()
+        batch = [Transition(rng.normal(size=6), int(rng.integers(3)),
+                            float(rng.normal()), rng.normal(size=6),
+                            bool(rng.random() < 0.3)) for _ in range(n)]
+        stacked = reference_dqn.stack_reference(batch)
+        targets = dqn.td_targets(batch, target, 0.95)
+        want = reference_dqn.per_batch_targets(stacked, target, 0.95)
+        assert targets.dtype == want.dtype, n
+        assert_bitwise(targets, want)
+        loss = dqn.train_step(net, target, batch, 0.01, 0.95)
+        ref_loss = reference_dqn.per_batch_train_step(ref_net, target,
+                                                      stacked, 0.01, 0.95)
+        assert loss == ref_loss, n
+        assert_bitwise(net.theta, ref_net.theta)

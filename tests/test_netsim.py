@@ -107,7 +107,7 @@ class TestSetCwnd:
         sim = Simulator(SimConfig(seed=0))
         sim.set_cwnd(5)
         sim.advance(5.0)  # all five transmitted, none acked yet
-        assert sim.in_flight == 5
+        assert list(sim._unacked) == [0, 1, 2, 3, 4]
         sim.set_cwnd(3)
         sent_at_shrink = sim.counters().bytes_sent_total
         acked_at_shrink = sim.counters().segments_acked_total
@@ -120,7 +120,7 @@ class TestSetCwnd:
                 break
         sim.advance(50.0)
         assert sim.counters().bytes_sent_total > sent_at_shrink
-        assert sim.in_flight <= 3
+        assert len(sim._unacked) <= 3
 
 
 class TestAdvance:
@@ -249,7 +249,7 @@ class TestInvariants:
         sim.set_cwnd(20)
         for _ in range(100):
             sim.advance(10.0)
-            assert sim.in_flight <= sim.cwnd
+            assert len(sim._unacked) <= sim.cwnd
 
     def test_determinism_same_seed(self):
         def run(seed):
@@ -315,7 +315,9 @@ class SimulatorMachine(RuleBasedStateMachine):
                      "retransmissions", "drops_error", "drops_queue"):
             assert getattr(c, name) >= getattr(self.prev, name)
         self.prev = c
-        assert self.sim.in_flight <= self.max_cwnd
+        # unacknowledged segments, and the window the next advance fills
+        assert len(self.sim._unacked) <= self.max_cwnd
+        assert self.sim._fill_to <= self.max_cwnd
         seg = self.sim.cfg.segment_bytes
         assert c.segments_acked_total * seg <= c.bytes_sent_total
         assert c.bytes_sent_total // seg >= \
