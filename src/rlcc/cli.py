@@ -268,10 +268,9 @@ def cmd_simulate(args) -> int:
     rows = []
     for step in range(1, steps + 1):
         throughput = sim.advance(interval)
-        rtt = sim.rtt_ewma_ms   # None until the first sample, as counters()
-        rows.append(Step("simulate", step, sim.cwnd, throughput,
-                         0.0 if rtt is None else rtt, None, None, None))
-    counters = sim.counters()
+        counters = sim.counters()
+        rows.append(Step("simulate", step, counters.cwnd_segments, throughput,
+                         counters.rtt_ewma_ms, None, None, None))
     duration_s = steps * interval / 1000.0
     throughput = counters.segments_acked_total * sim_cfg.segment_bytes / duration_s
     write_csv_atomic(os.path.join(args.out_dir, "steps.csv"),

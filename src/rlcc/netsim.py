@@ -14,15 +14,15 @@ uncongested reverse path with fixed latency and are never lost.  Un-ACKed
 segments retransmit a fixed RTO after each (re)transmission; RTT samples
 follow Karn's rule (never-retransmitted segments only) and feed an EWMA.
 
-``advance`` is one event loop over local state.  Heap events are ACK
-arrivals, one armed retransmission timer and the sender link's finish, which
-enters the heap only when a segment waits for it.  One block hands segments
-to the sender link: after an ACK, after a retransmission, and for the window
-a ``set_cwnd`` opened, which the next ``advance`` fills at the call's instant.
-An idle link's finish is kept aside: a segment enqueued before it pushes it,
-one enqueued after it kicks the link instead.  The kick waits in a slot of
-its own and is taken without a heap push whenever it is the next event, so a
-clean flow costs about one heap push per delivered segment.
+``advance`` is one event loop over local state.  Events come from three
+sources, each already in event order, and the next event is the least of
+their heads by whole event key: the one pending finish or kick of the sender
+link, a FIFO of ACK arrivals and a deadline-ordered deque of retransmission
+timers.  One block hands segments to the sender link: after an ACK, after a
+retransmission, and for the window a ``set_cwnd`` opened, which the next
+``advance`` fills at the call's instant.  An idle link's finish is kept
+aside: a segment enqueued before it makes it pending again, one enqueued
+after it kicks the link instead.
 Later hops are FIFO with fixed service times, so a transmission's fate is
 computed when it starts, with the sums an event per hop would take, in the
 order an event per hop would take them (time, then the times of the events
@@ -34,7 +34,6 @@ bit-identical results.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import random
 from collections import deque
@@ -125,13 +124,14 @@ def update_rtt_ewma(ewma_ms: float | None, sample_ms: float,
     return (1.0 - alpha) * ewma_ms + alpha * sample_ms
 
 
-# A heap entry is (time, parent time, grandparent time, great-grandparent
-# time, insertion seq, kind, payload); its first four fields are its key.
-# An event d ms after the one keyed k, or a hop computed d ms after it, is
-# keyed (k[0] + d, k[0], k[1], k[2]).
+# An event is (time, parent time, grandparent time, great-grandparent time,
+# insertion seq, kind, payload) and compares as a whole: the seq is unique,
+# so the four times order events and the seq breaks their ties.  An event
+# d ms after the one keyed k, or a hop computed d ms after it, is keyed
+# (k[0] + d, k[0], k[1], k[2]).
 _SND_READY = 0       # sender link finished a segment, or a kick of it idle
 _ACK_ARRIVE = 1      # cumulative ACK delivered to the sender
-_RTO_FIRE = 2        # the armed retransmission timer
+_RTO_FIRE = 2        # a retransmission timer
 
 
 @dataclass(slots=True)
@@ -148,7 +148,6 @@ class Simulator:
         cfg.validate()
         self.cfg = cfg
         self.now = 0.0
-        self._heap: list = []
         self._evseq = 0
         self._rng = random.Random(cfg.seed)
 
@@ -171,18 +170,21 @@ class Simulator:
         self._last_acked = -1
         self._unacked: dict[int, _Segment] = {}
 
-        # At most one _SND_READY is pending: a finish in the heap or a kick
-        # of the idle link.  An idle link keeps its last finish in
-        # _snd_done, which is pushed if a segment is enqueued before it in
-        # event order.
-        self._snd_ready_pending = False
+        # The one pending _SND_READY, a finish or a kick of the idle link,
+        # or None.  An idle link keeps its last finish in _snd_done, which
+        # becomes pending again if a segment is enqueued before it in event
+        # order.
+        self._snd_next: tuple | None = None
         self._snd_done: tuple = (-math.inf,)
         self._snd_queue: deque[int] = deque()
         # Keys of the bottleneck departures still ahead, the one in service
         # first, and of the receiver link's latest departure.
         self._bn: deque[tuple] = deque()
         self._rcv_done: tuple = (-math.inf,)
-        # Timer entries in deadline order; the head is the armed one.
+        # ACK arrivals in event order: receiver-link finishes rise strictly
+        # in the order transmissions are processed.
+        self._acks: deque[tuple] = deque()
+        # Timers in deadline order; the head is the next timer event.
         self._rto: deque[tuple] = deque()
         # Per drop counter, the times its dropped segments reach the router.
         self._drop_times = {"drops_queue": [], "drops_error": []}
@@ -236,10 +238,8 @@ class Simulator:
         t_end = now + interval_ms
         acked_before = acked = self.segments_acked_total
 
-        heap, unacked, snd_queue = self._heap, self._unacked, self._snd_queue
-        bn, rto, ooo = self._bn, self._rto, self._ooo
-        heappush, heappop, heappushpop = (heapq.heappush, heapq.heappop,
-                                          heapq.heappushpop)
+        unacked, snd_queue, ooo = self._unacked, self._snd_queue, self._ooo
+        bn, acks, rto = self._bn, self._acks, self._rto
         random_draw = self._rng.random
         queue_drops = self._drop_times["drops_queue"]
         error_drops = self._drop_times["drops_error"]
@@ -253,7 +253,7 @@ class Simulator:
         ack_delay = self._ack_delay_ms
         evseq, next_seq = self._evseq, self._next_seq
         last_acked, expected = self._last_acked, self._expected_seq
-        pending, snd_done = self._snd_ready_pending, self._snd_done
+        snd_next, snd_done = self._snd_next, self._snd_done
         rcv_done, ewma = self._rcv_done, self.rtt_ewma_ms
         sent, retransmissions = self.bytes_sent_total, self.retransmissions
 
@@ -261,42 +261,39 @@ class Simulator:
         # every event processed at it.
         opened, want = (now, math.inf, math.inf), self._fill_to
         self._fill_to = 0
-        kick = None
         while True:
             if opened is not None:
                 # Hand segments to the sender link.  If the kept finish is
                 # still ahead of the event that opened the window, the busy
                 # link takes them when it finishes; otherwise the idle link
-                # is kicked.  A non-empty queue always has a finish pending,
-                # so testing once after the appends is exact.
+                # is kicked.  A non-empty queue always has a _SND_READY
+                # pending, so testing once after the appends is exact.
                 while len(unacked) < want:
                     unacked[next_seq] = _Segment()
                     snd_queue.append(next_seq)
                     next_seq += 1
-                if snd_queue and not pending:
-                    pending = True
+                if snd_queue and snd_next is None:
                     if snd_done > opened:
-                        heappush(heap, snd_done)
+                        snd_next = snd_done
                     else:
                         evseq += 1
-                        kick = (now, opened[0], opened[1], opened[2], evseq,
-                                _SND_READY, None)
+                        snd_next = (now, opened[0], opened[1], opened[2],
+                                    evseq, _SND_READY, None)
                 opened = None
-            # A kick is never later than t_end; heappushpop hands it back
-            # untouched when it is the next event.
-            if kick is not None:
-                ev = heappushpop(heap, kick)
-                kick = None
-            elif heap and heap[0][0] <= t_end:
-                ev = heappop(heap)
-            else:
+            # The next event is the least head of the three sources.
+            ev = snd_next
+            if acks and (ev is None or acks[0] < ev):
+                ev = acks[0]
+            if rto and (ev is None or rto[0] < ev):
+                ev = rto[0]
+            if ev is None or ev[0] > t_end:
                 break
             now = ev[0]
             kind = ev[5]
 
             if kind == _SND_READY:
                 # Retransmissions acked while queued are skipped.
-                pending = False
+                snd_next = None
                 while snd_queue:
                     seq = snd_queue.popleft()
                     seg = unacked.get(seq)
@@ -309,19 +306,13 @@ class Simulator:
                 if seg.first_send_ms < 0:
                     seg.first_send_ms = now
                 seg.xmit_id += 1
-                # The timer waits in deadline order; it enters the heap once
-                # every earlier one has fired or been found stale.
                 evseq += 2
-                timer = (now + rto_ms, now, p1, p2, evseq - 1, _RTO_FIRE,
-                         (seq, seg.xmit_id))
-                rto.append(timer)
-                if len(rto) == 1:
-                    heappush(heap, timer)
+                rto.append((now + rto_ms, now, p1, p2, evseq - 1, _RTO_FIRE,
+                            (seq, seg.xmit_id)))
                 t = now + ser_access
                 snd_done = (t, now, p1, p2, evseq, _SND_READY, None)
                 if snd_queue:
-                    pending = True
-                    heappush(heap, snd_done)
+                    snd_next = snd_done
 
                 r1 = (t + access_prop, t, now, p1)
                 while bn and bn[0] < r1:
@@ -356,13 +347,14 @@ class Simulator:
                     # trigger segment used for RTT sampling.
                     arrive = t + access_prop
                     evseq += 1
-                    heappush(heap, (arrive + ack_delay, arrive, t, p[0], evseq,
-                                    _ACK_ARRIVE, (expected - 1, seq)))
+                    acks.append((arrive + ack_delay, arrive, t, p[0], evseq,
+                                 _ACK_ARRIVE, (expected - 1, seq)))
                 elif seq > expected:
                     ooo.add(seq)
                 # seq < expected: a duplicate of a delivered segment.
 
             elif kind == _ACK_ARRIVE:
+                acks.popleft()
                 cum, trigger = ev[6]
                 if cum > last_acked:
                     acked += cum - last_acked
@@ -387,20 +379,19 @@ class Simulator:
                     seg.retrans_count += 1
                     snd_queue.append(seq)
                     opened, want = ev, 0
-                # Arm the next live timer; acked or superseded ones would
-                # only have fired as no-ops.
+                # Drop the dead timers now at the head; acked or superseded
+                # ones would only fire as no-ops.
                 while rto:
                     seq, xmit_id = rto[0][6]
                     seg = unacked.get(seq)
                     if seg is not None and seg.xmit_id == xmit_id:
-                        heappush(heap, rto[0])
                         break
                     rto.popleft()
 
         self.now = t_end
         self._evseq, self._next_seq = evseq, next_seq
         self._last_acked, self._expected_seq = last_acked, expected
-        self._snd_ready_pending, self._snd_done = pending, snd_done
+        self._snd_next, self._snd_done = snd_next, snd_done
         self._rcv_done, self.rtt_ewma_ms = rcv_done, ewma
         self.bytes_sent_total, self.retransmissions = sent, retransmissions
         self.segments_acked_total = acked

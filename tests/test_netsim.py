@@ -1,4 +1,3 @@
-import heapq
 import math
 import re
 import statistics
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from rlcc import netsim
 from rlcc.netsim import (BottleneckSpec, LinkSpec, SimConfig, Simulator,
                          update_rtt_ewma)
 from rlcc.schema import EnvConfig
@@ -164,37 +162,6 @@ class TestAdvance:
         sim.advance(100.0)
         assert sim.counters().drops_queue > 0
 
-    def test_about_one_heap_push_per_acked_segment(self, monkeypatch):
-        # A clean flow pushes each ACK; an idle link's finish stays out of
-        # the heap and its kick is handed back by heappushpop.  The count
-        # is deterministic (1.016 here; 3.015 with a push per finish).
-        pushes = 0
-
-        class CountingHeapq:
-            heappop = staticmethod(heapq.heappop)
-
-            @staticmethod
-            def heappush(heap, item):
-                nonlocal pushes
-                pushes += 1
-                heapq.heappush(heap, item)
-
-            @staticmethod
-            def heappushpop(heap, item):
-                nonlocal pushes
-                out = heapq.heappushpop(heap, item)
-                pushes += out is not item
-                return out
-
-        monkeypatch.setattr(netsim, "heapq", CountingHeapq)
-        sim = Simulator(SimConfig(seed=7))
-        sim.set_cwnd(64)
-        for _ in range(500):
-            sim.advance(100.0)
-        acked = sim.counters().segments_acked_total
-        assert acked > 12_000
-        assert pushes <= 1.02 * acked
-
 
 class TestRttEwma:
     def test_fixed_point(self):
@@ -322,6 +289,15 @@ class SimulatorMachine(RuleBasedStateMachine):
         assert c.segments_acked_total * seg <= c.bytes_sent_total
         assert c.bytes_sent_total // seg >= \
             c.segments_acked_total + c.drops_error + c.drops_queue
+
+    @invariant()
+    def event_sources_ordered(self):
+        # advance takes the least head, so each source must be in key order
+        for source in (self.sim._acks, self.sim._rto):
+            events = list(source)
+            assert all(a <= b for a, b in zip(events, events[1:]))
+        # a queued segment always has a finish or kick of the link pending
+        assert not self.sim._snd_queue or self.sim._snd_next is not None
 
 
 SimulatorMachine.TestCase.settings = settings(max_examples=60, deadline=None)
